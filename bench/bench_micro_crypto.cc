@@ -10,7 +10,8 @@
 // sweep of kernels x message sizes x batch widths and writes
 // machine-readable results to BENCH_micro_crypto.json (override the path
 // with LRS_BENCH_JSON, skip with LRS_BENCH_JSON=none) so successive PRs
-// have a perf trajectory to track.
+// have a perf trajectory to track. The sweep ends with whole-operation
+// signing rows: WOTS keygen/sign/verify and the per-trial MultiKeySigner.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -331,6 +332,36 @@ std::vector<SweepResult> run_sweep() {
     }
     sha256_set_kernel("auto");
   }
+
+  // Signing-side costs under the auto-selected kernels: one WOTS key (18
+  // chains x 255 steps), one signature from a fresh copy of a key (keys are
+  // one-time), one verification, and the per-trial source signer —
+  // constructing a height-2 MultiKeySigner (4 keys + Merkle tree) and
+  // issuing its first signature, as core/experiment.cc does per trial.
+  // Rows carry ns_per_op only.
+  {
+    const Bytes seed = random_bytes(32, 81);
+    const Bytes msg = random_bytes(40, 82);
+    std::uint64_t index = 0;
+    results.push_back(time_op("wots/keygen", 0, [&] {
+      benchmark::DoNotOptimize(WotsKeyPair::generate(view(seed), index++));
+    }));
+    const WotsKeyPair fresh = WotsKeyPair::generate(view(seed), 0);
+    results.push_back(time_op("wots/sign", 0, [&] {
+      WotsKeyPair kp = fresh;
+      benchmark::DoNotOptimize(kp.sign(view(msg)));
+    }));
+    WotsKeyPair signing = fresh;
+    const WotsSignature sig = signing.sign(view(msg));
+    results.push_back(time_op("wots/verify", 0, [&] {
+      benchmark::DoNotOptimize(
+          WotsKeyPair::verify(fresh.public_key(), view(msg), sig));
+    }));
+    results.push_back(time_op("multikey/height=2", 0, [&] {
+      MultiKeySigner signer(view(seed), 2);
+      benchmark::DoNotOptimize(signer.sign(view(msg)));
+    }));
+  }
   return results;
 }
 
@@ -433,6 +464,9 @@ void write_json(const std::vector<SweepResult>& results,
     out << "    {\"name\": \"" << r.name << "\", ";
     if (r.name.find("/speedup/") != std::string::npos) {
       out << "\"speedup\": " << r.mb_per_s;
+    } else if (r.mb_per_s == 0) {
+      // Whole-operation rows (signing): no payload, so no throughput.
+      out << "\"ns_per_op\": " << r.ns_per_op;
     } else {
       out << "\"mb_per_s\": " << r.mb_per_s
           << ", \"ns_per_op\": " << r.ns_per_op;

@@ -9,7 +9,8 @@
 // LRS_BENCH_JSON=none) so successive PRs have a perf trajectory to track.
 // The sweep also covers the LRC and XOR-schedule backends: encode/decode per
 // geometry, the local-repair fast path, Monte Carlo local-repair hit rates
-// at the Fig. 6 loss points, and the xorsched-vs-table-RS speedup row.
+// at the Fig. 6 loss points, and the xorsched-vs-table-RS speedup row, plus
+// RS decode at the paper geometry by erased-data count.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -351,6 +352,30 @@ void append_codec_sweep(std::vector<SweepResult>& results) {
   }
 }
 
+/// RS decode at the paper geometry by erased-data count e: k-e data shares
+/// plus e parity shares, the systematic solve's cost axis (e*(k-e) + e^2 row
+/// addmuls plus an e x e inverse). Active kernel only.
+void append_rs_erasure_sweep(std::vector<SweepResult>& results) {
+  auto code = make_rs_code(32, 48);
+  const auto blocks = random_blocks(32, 64, 7);
+  const auto encoded = code->encode(blocks);
+  for (std::size_t erased : {0u, 1u, 4u, 16u}) {
+    // Erase every other data block from the front, substitute the first
+    // parity shares.
+    std::vector<Share> shares;
+    for (std::size_t i = 0; i < 32; ++i) {
+      if (i % 2 == 0 && i / 2 < erased) continue;
+      shares.push_back({i, encoded[i]});
+    }
+    for (std::size_t p = 0; p < erased; ++p)
+      shares.push_back({32 + p, encoded[32 + p]});
+    results.push_back(time_op(
+        "rs/decode/k=32,n=48/erased=" + std::to_string(erased), 32 * 64, [&] {
+          benchmark::DoNotOptimize(code->decode(shares));
+        }));
+  }
+}
+
 /// Monte Carlo local-repair hit rate: i.i.d. packet loss at the Fig. 6
 /// points, decode from the survivors, count how often the page completed
 /// without a k-wide solve. The counters live in the process-wide metrics
@@ -492,6 +517,7 @@ int main(int argc, char** argv) {
   if (path == "none") return 0;
   auto results = run_sweep();
   append_codec_sweep(results);
+  append_rs_erasure_sweep(results);
   append_local_repair_rates(results);
   append_speedups(results);
   write_json(results, path);

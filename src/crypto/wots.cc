@@ -1,12 +1,16 @@
 #include "crypto/wots.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "crypto/hmac.h"
+#include "crypto/sha256_kernels.h"
+#include "sim/stats/stats.h"
 #include "util/buffer.h"
 #include "util/check.h"
 
@@ -16,18 +20,72 @@ namespace {
 
 using Chain = std::array<std::uint8_t, kWotsChainBytes>;
 
-/// One application of the chaining function.
-Chain chain_step(const Chain& in) {
-  const Sha256Digest d = Sha256::hash(ByteView(in.data(), in.size()));
-  Chain out;
-  std::copy_n(d.begin(), kWotsChainBytes, out.begin());
-  return out;
+/// Walks every chain in lockstep: chain i advances steps[i] times from v[i].
+/// A step hashes one 32-byte value, which SHA-256 pads into exactly one
+/// 64-byte block (value, 0x80, zeros, 256-bit length), so each round is one
+/// compression per live chain from the initial state — batched through the
+/// multi-buffer kernel when one is active, else the single-stream kernel.
+/// Digests equal Sha256::hash of the value, step for step.
+void walk_chains(std::array<Chain, kWotsLen>& v,
+                 const std::array<unsigned, kWotsLen>& steps) {
+  // deterministic=false: verification runs beneath the signature memo
+  // (verify_certified_cached), so the call count depends on scheduling.
+  static stats::Timer& timer = stats::Registry::instance().timer(
+      "crypto.wots.chain", /*top_level=*/false, /*deterministic=*/false);
+  stats::TimerScope scope(timer);
+
+  constexpr std::uint64_t kBitLen = kWotsChainBytes * 8;
+  std::array<std::array<std::uint8_t, 64>, kWotsLen> blocks{};
+  for (std::size_t i = 0; i < kWotsLen; ++i) {
+    std::copy(v[i].begin(), v[i].end(), blocks[i].begin());
+    blocks[i][kWotsChainBytes] = 0x80;
+    for (int b = 0; b < 8; ++b)
+      blocks[i][56 + b] = static_cast<std::uint8_t>(kBitLen >> (8 * (7 - b)));
+  }
+  const unsigned rounds = *std::max_element(steps.begin(), steps.end());
+  const Sha256BatchKernel* batch = sha256_batch_kernel();
+  const Sha256Kernel& single = sha256_kernel();
+  std::array<std::uint32_t, 8 * kWotsLen> states;
+  std::array<const std::uint8_t*, kWotsLen> ptrs;
+  std::array<std::size_t, kWotsLen> live;
+  for (unsigned round = 0; round < rounds; ++round) {
+    std::size_t count = 0;
+    for (std::size_t i = 0; i < kWotsLen; ++i) {
+      if (steps[i] <= round) continue;
+      std::copy_n(kSha256Init, 8, &states[8 * count]);
+      ptrs[count] = blocks[i].data();
+      live[count++] = i;
+    }
+    if (batch != nullptr) {
+      batch->compress_batch(states.data(), ptrs.data(), count);
+    } else {
+      for (std::size_t j = 0; j < count; ++j)
+        single.compress(&states[8 * j], ptrs[j], 1);
+    }
+    // The digest, big-endian, becomes the next step's value. Word stores
+    // rather than byte stores: this write-back costs as much as the
+    // compression otherwise.
+    for (std::size_t j = 0; j < count; ++j) {
+      std::uint8_t* out = blocks[live[j]].data();
+      for (std::size_t w = 0; w < 8; ++w) {
+        std::uint32_t x = states[8 * j + w];
+        if constexpr (std::endian::native == std::endian::little)
+          x = __builtin_bswap32(x);
+        std::memcpy(out + 4 * w, &x, sizeof(x));
+      }
+    }
+  }
+  for (std::size_t i = 0; i < kWotsLen; ++i)
+    std::copy_n(blocks[i].begin(), kWotsChainBytes, v[i].begin());
 }
 
-/// Applies the chaining function `steps` times.
-Chain chain(Chain v, unsigned steps) {
-  for (unsigned i = 0; i < steps; ++i) v = chain_step(v);
-  return v;
+/// Chain steps walked by key generation and signing. Verification steps are
+/// left out: they sit beneath the signature memo, and this counter belongs
+/// to the deterministic export.
+stats::Counter& chain_steps_counter() {
+  static stats::Counter& c =
+      stats::Registry::instance().counter("crypto.wots.chain_steps");
+  return c;
 }
 
 /// Message digest -> len1 byte chunks + len2 checksum chunks, all in [0,255].
@@ -74,7 +132,6 @@ std::optional<WotsSignature> WotsSignature::deserialize(ByteView data) {
 
 WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
   WotsKeyPair kp;
-  std::array<Chain, kWotsLen> tops;
   for (std::size_t i = 0; i < kWotsLen; ++i) {
     // sk_i = HMAC(seed, index || i): deterministic, independent per chain.
     Writer w;
@@ -82,8 +139,12 @@ WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
     w.u64(i);
     const Sha256Digest d = hmac_sha256(seed, view(w.data()));
     std::copy_n(d.begin(), kWotsChainBytes, kp.sk_[i].begin());
-    tops[i] = chain(kp.sk_[i], 255);
   }
+  std::array<Chain, kWotsLen> tops = kp.sk_;
+  std::array<unsigned, kWotsLen> steps;
+  steps.fill(255);
+  walk_chains(tops, steps);
+  chain_steps_counter().add(kWotsLen * 255);
   kp.pk_ = compress_tops(tops);
   return kp;
 }
@@ -93,19 +154,20 @@ WotsSignature WotsKeyPair::sign(ByteView message) {
   used_ = true;
   const auto chunks = message_chunks(message);
   WotsSignature sig;
-  for (std::size_t i = 0; i < kWotsLen; ++i) {
-    sig.chains[i] = chain(sk_[i], chunks[i]);
-  }
+  sig.chains = sk_;
+  walk_chains(sig.chains, chunks);
+  chain_steps_counter().add(
+      std::accumulate(chunks.begin(), chunks.end(), std::uint64_t{0}));
   return sig;
 }
 
 bool WotsKeyPair::verify(const WotsPublicKey& pk, ByteView message,
                          const WotsSignature& sig) {
   const auto chunks = message_chunks(message);
-  std::array<Chain, kWotsLen> tops;
-  for (std::size_t i = 0; i < kWotsLen; ++i) {
-    tops[i] = chain(sig.chains[i], 255 - chunks[i]);
-  }
+  std::array<Chain, kWotsLen> tops = sig.chains;
+  std::array<unsigned, kWotsLen> remaining;
+  for (std::size_t i = 0; i < kWotsLen; ++i) remaining[i] = 255 - chunks[i];
+  walk_chains(tops, remaining);
   return equal(compress_tops(tops), pk);
 }
 

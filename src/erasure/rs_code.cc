@@ -6,8 +6,6 @@
 // hence invertible, which makes every k x k submatrix of G invertible:
 // expanding any selected identity rows reduces the determinant to a Cauchy
 // minor. This is the classic Cauchy-RS construction (as used in Jerasure).
-#include <algorithm>
-
 #include "erasure/code.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
@@ -27,6 +25,13 @@ stats::Timer& rs_decode_timer() {
   static stats::Timer& t =
       stats::Registry::instance().timer("erasure.rs.decode");
   return t;
+}
+/// Sum over decodes of the erased data blocks actually solved: with the
+/// .calls count, the GF work per decode (e*(k-e) + e^2 row addmuls).
+stats::Counter& rs_erased_counter() {
+  static stats::Counter& c =
+      stats::Registry::instance().counter("erasure.rs.decode.erased");
+  return c;
 }
 
 class ReedSolomonCode final : public ErasureCode {
@@ -75,7 +80,8 @@ class ReedSolomonCode final : public ErasureCode {
   std::optional<std::vector<Bytes>> decode(
       const std::vector<Share>& shares) const override {
     stats::TimerScope scope(rs_decode_timer());
-    // Deduplicate by index, keep the first k distinct shares.
+    // Deduplicate by index, keep the first k distinct shares; afterwards
+    // seen[i] marks exactly the picked indices.
     std::vector<const Share*> picked;
     std::vector<bool> seen(n_, false);
     for (const auto& s : shares) {
@@ -90,33 +96,55 @@ class ReedSolomonCode final : public ErasureCode {
     const std::size_t len = picked.front()->data.size();
     for (const auto* s : picked) LRS_CHECK(s->data.size() == len);
 
-    // Fast path: all k systematic shares present.
-    const bool all_systematic = std::all_of(
-        picked.begin(), picked.end(),
-        [&](const Share* s) { return s->index < k_; });
-    if (all_systematic) {
-      std::vector<Bytes> out(k_);
-      for (const auto* s : picked) out[s->index] = s->data;
-      return out;
+    // Systematic solve: picked data shares copy straight through, and each
+    // picked parity share stands in for one erased data block. With e
+    // erasures, subtracting the known columns from those e parity shares
+    // leaves an e x e system whose matrix is a Cauchy minor of the parity
+    // rows: e*(k-e) + e^2 row addmuls plus an e x e inverse. The solution
+    // is unique, so the bytes equal a full k x k solve's.
+    std::vector<Bytes> out(k_);
+    std::vector<const Share*> parity;
+    for (const auto* s : picked) {
+      if (s->index < k_) {
+        out[s->index] = s->data;
+      } else {
+        parity.push_back(s);
+      }
     }
+    const std::size_t e = parity.size();
+    rs_erased_counter().add(e);
+    if (e == 0) return out;
 
-    MatrixGf256 sub(k_, k_);
-    for (std::size_t r = 0; r < k_; ++r) {
-      for (std::size_t c = 0; c < k_; ++c)
-        sub.set(r, c, generator_.at(picked[r]->index, c));
+    std::vector<std::size_t> erased;
+    erased.reserve(e);
+    for (std::size_t j = 0; j < k_; ++j)
+      if (!seen[j]) erased.push_back(j);
+
+    MatrixGf256 minor(e, e);
+    for (std::size_t r = 0; r < e; ++r) {
+      for (std::size_t c = 0; c < e; ++c)
+        minor.set(r, c, generator_.at(parity[r]->index, erased[c]));
     }
-    auto inv = sub.inverted();
+    auto inv = minor.inverted();
     LRS_CHECK_MSG(inv.has_value(), "MDS property violated (bug)");
 
-    std::vector<Bytes> out;
-    out.reserve(k_);
-    for (std::size_t j = 0; j < k_; ++j) {
-      Bytes m(len, 0);
-      for (std::size_t r = 0; r < k_; ++r) {
-        Gf256::addmul(MutByteView(m.data(), m.size()), view(picked[r]->data),
-                      inv->at(j, r));
+    // Syndromes: each parity share minus its known data columns.
+    std::vector<Bytes> syndrome(e);
+    for (std::size_t r = 0; r < e; ++r) {
+      syndrome[r] = parity[r]->data;
+      MutByteView dst(syndrome[r].data(), len);
+      for (std::size_t j = 0; j < k_; ++j) {
+        if (seen[j])
+          Gf256::addmul(dst, view(out[j]), generator_.at(parity[r]->index, j));
       }
-      out.push_back(std::move(m));
+    }
+    for (std::size_t c = 0; c < e; ++c) {
+      Bytes m(len, 0);
+      for (std::size_t r = 0; r < e; ++r) {
+        Gf256::addmul(MutByteView(m.data(), m.size()), view(syndrome[r]),
+                      inv->at(c, r));
+      }
+      out[erased[c]] = std::move(m);
     }
     return out;
   }

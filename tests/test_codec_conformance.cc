@@ -242,26 +242,69 @@ TEST_P(CodecConformance, EncodeIsGeneratorMatrixMultiply) {
 }
 
 TEST_P(CodecConformance, DecodeMatchesReferenceMatrixSolve) {
-  auto code = make(8, 16);
-  const MatrixGf256 g = probe_generator(*code);
-  const auto blocks = random_blocks(8, 24, 28);
-  const auto encoded = code->encode(blocks);
+  // Random receive subsets at (8,16), then a sweep over every erased-data
+  // count e = 0..min(k, n-k) at (8,16) and at the paper geometry (32,48):
+  // k-e data shares plus e parity shares in shuffled order; the same with
+  // duplicates interleaved; and with more than k distinct shares, where
+  // erased data shares arrive after the first k.
+  const struct {
+    std::size_t k, n;
+  } geometries[] = {{8, 16}, {32, 48}};
   Rng rng(29);
-  for (int t = 0; t < 20; ++t) {
-    const std::size_t take = 8 + rng.uniform(9);  // k .. n shares
-    const auto idx = random_subset(16, take, rng);
-    const auto decoded = code->decode(pick_shares(encoded, idx));
-    const auto reference = reference_solve(g, encoded, idx);
-    if (decoded.has_value()) {
-      // Whatever the codec returned must be exactly the reference solution.
-      ASSERT_TRUE(reference.has_value());
-      EXPECT_EQ(*decoded, *reference);
-      EXPECT_EQ(*decoded, blocks);
-    } else if (GetParam().full_elimination) {
-      // Full-elimination decoders fail only when the rows genuinely do not
-      // span; LT's peeling decoder is allowed to give up earlier.
-      EXPECT_FALSE(reference.has_value());
-      EXPECT_LT(subset_rank(g, idx), 8u);
+  for (const auto& geo : geometries) {
+    const std::size_t k = geo.k, n = geo.n;
+    auto code = make(k, n);
+    const MatrixGf256 g = probe_generator(*code);
+    const auto blocks = random_blocks(k, 24, 28);
+    const auto encoded = code->encode(blocks);
+    auto check = [&](const std::vector<std::size_t>& idx) {
+      const auto decoded = code->decode(pick_shares(encoded, idx));
+      const auto reference = reference_solve(g, encoded, idx);
+      if (decoded.has_value()) {
+        // Whatever the codec returned must be exactly the reference solution.
+        ASSERT_TRUE(reference.has_value()) << "k=" << k << " n=" << n;
+        EXPECT_EQ(*decoded, *reference) << "k=" << k << " n=" << n;
+        EXPECT_EQ(*decoded, blocks) << "k=" << k << " n=" << n;
+      } else if (GetParam().full_elimination) {
+        // Full-elimination decoders fail only when the rows genuinely do
+        // not span; LT's peeling decoder is allowed to give up earlier.
+        EXPECT_FALSE(reference.has_value()) << "k=" << k << " n=" << n;
+        EXPECT_LT(subset_rank(g, idx), k) << "k=" << k << " n=" << n;
+      }
+    };
+
+    if (k == 8) {
+      for (int t = 0; t < 20; ++t) {
+        const std::size_t take = k + rng.uniform(n - k + 1);  // k .. n shares
+        check(random_subset(n, take, rng));
+      }
+    }
+
+    for (std::size_t e = 0; e <= std::min(k, n - k); ++e) {
+      for (int t = 0; t < 3; ++t) {
+        // random_subset(m, m) is a uniform permutation of [0, m).
+        const auto data = random_subset(k, k, rng);
+        auto parity = random_subset(n - k, n - k, rng);
+        for (auto& p : parity) p += k;
+        std::vector<std::size_t> idx(data.begin() + e, data.end());
+        idx.insert(idx.end(), parity.begin(), parity.begin() + e);
+        const auto order = random_subset(idx.size(), idx.size(), rng);
+        std::vector<std::size_t> shuffled;
+        for (auto o : order) shuffled.push_back(idx[o]);
+        check(shuffled);
+
+        std::vector<std::size_t> dups = shuffled;
+        for (int d = 0; d < 4; ++d) {
+          const auto at = dups.begin() + rng.uniform(dups.size() + 1);
+          dups.insert(at, shuffled[rng.uniform(shuffled.size())]);
+        }
+        check(dups);
+
+        std::vector<std::size_t> late = shuffled;
+        late.insert(late.end(), data.begin(), data.begin() + e);
+        if (e < n - k) late.push_back(parity[e]);
+        check(late);
+      }
     }
   }
 }

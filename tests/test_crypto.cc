@@ -8,7 +8,9 @@
 #include "crypto/hmac.h"
 #include "crypto/merkle.h"
 #include "crypto/puzzle.h"
+#include "crypto/sha256_kernels.h"
 #include "crypto/wots.h"
+#include "sim/stats/stats.h"
 #include "util/hex.h"
 
 namespace lrs::crypto {
@@ -212,6 +214,33 @@ TEST(Wots, SignatureSerializationRoundTrip) {
   EXPECT_TRUE(WotsKeyPair::verify(kp.public_key(), view(msg), *back));
 }
 
+TEST(Wots, ChainStepCounterCountsKeygenAndSigning) {
+  // crypto.wots.chain_steps: 255 steps per chain to generate a key, then
+  // one step per message/checksum digit to sign. Verification is not
+  // counted (it runs beneath the schedule-dependent signature memo).
+  stats::set_enabled(true);
+  stats::Counter& steps =
+      stats::Registry::instance().counter("crypto.wots.chain_steps");
+  const std::uint64_t before = steps.value();
+  auto kp = WotsKeyPair::generate(view(Bytes{4}), 0);
+  EXPECT_EQ(steps.value(), before + kWotsLen * 255);
+
+  const Bytes msg = str_bytes("chunked");
+  const Sha256Digest d = Sha256::hash(view(msg));
+  std::uint64_t digits = 0;
+  unsigned checksum = 0;
+  for (std::size_t i = 0; i < kWotsLen1; ++i) {
+    digits += d[i];
+    checksum += 255 - d[i];
+  }
+  digits += (checksum >> 8) + (checksum & 0xff);
+  const auto sig = kp.sign(view(msg));
+  EXPECT_EQ(steps.value(), before + kWotsLen * 255 + digits);
+  EXPECT_TRUE(WotsKeyPair::verify(kp.public_key(), view(msg), sig));
+  EXPECT_EQ(steps.value(), before + kWotsLen * 255 + digits);
+  stats::set_enabled(false);
+}
+
 // ---------------------------------------------------------------------------
 // MultiKeySigner
 // ---------------------------------------------------------------------------
@@ -268,6 +297,31 @@ TEST(MultiKeySigner, TruncatedSerializationRejected) {
   Bytes raw = signer.sign(view(Bytes{1})).serialize();
   raw.resize(raw.size() - 1);
   EXPECT_FALSE(CertifiedSignature::deserialize(view(raw)).has_value());
+}
+
+// Known answer for the simulator's signer (the seed core/experiment.cc
+// uses): pins key generation, Merkle certification and the WOTS chain walk
+// byte for byte on every SHA-256 kernel — which the round-trip tests above
+// cannot see, since a consistently wrong chain function still verifies.
+TEST(MultiKeySigner, KnownAnswerOnEveryKernel) {
+  struct KernelGuard {
+    ~KernelGuard() { sha256_set_kernel("auto"); }
+  } guard;
+  const Bytes seed{0x11, 0x22, 0x33, 0x44};
+  const Bytes msg{1, 2, 3, 4, 5};
+  for (const auto& name : sha256_available_kernels()) {
+    ASSERT_TRUE(sha256_set_kernel(name)) << name;
+    MultiKeySigner signer(view(seed), 2);
+    const auto& root = signer.root_public_key();
+    EXPECT_EQ(to_hex(ByteView(root.data(), root.size())), "396060122c158ce9")
+        << name;
+    const auto sig = signer.sign(view(msg));
+    const Sha256Digest d = Sha256::hash(view(sig.serialize()));
+    EXPECT_EQ(to_hex(ByteView(d.data(), d.size())),
+              "c74e1780d7264e7ea61b50ac355f1dd9b6dde893c00e427ef2deb0ec92e2bb81")
+        << name;
+    EXPECT_TRUE(MultiKeySigner::verify(root, view(msg), sig)) << name;
+  }
 }
 
 // ---------------------------------------------------------------------------

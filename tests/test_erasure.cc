@@ -274,6 +274,28 @@ TEST(RsCode, PaperScaleRandomPatterns) {
   }
 }
 
+TEST(RsCode, DecodeCountsErasedDataBlocks) {
+  // erasure.rs.decode.erased sums the erased data blocks each decode
+  // actually solved; present data shares copy through uncounted.
+  stats::set_enabled(true);
+  stats::Counter& erased =
+      stats::Registry::instance().counter("erasure.rs.decode.erased");
+  auto code = make_rs_code(8, 16);
+  const auto blocks = random_blocks(8, 16, 9);
+  const auto encoded = code->encode(blocks);
+  const std::uint64_t before = erased.value();
+  EXPECT_EQ(code->decode(pick_shares(encoded, {0, 1, 2, 3, 4, 5, 6, 7}))
+                .value(),
+            blocks);
+  EXPECT_EQ(erased.value(), before);
+  // Data 1, 4 and 6 erased; the late data share 4 is past the first k.
+  EXPECT_EQ(code->decode(pick_shares(encoded, {12, 0, 2, 3, 9, 5, 7, 15, 4}))
+                .value(),
+            blocks);
+  EXPECT_EQ(erased.value(), before + 3);
+  stats::set_enabled(false);
+}
+
 TEST(RsCode, ParityOnlyDecodes) {
   auto code = make_rs_code(4, 12);
   const auto blocks = random_blocks(4, 8, 7);
