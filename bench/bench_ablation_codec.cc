@@ -10,10 +10,8 @@
 //  * lrc    — pyramid locally repairable code: k' = k + g - 1 (39 at the
 //             paper geometry), trading extra SNACK traffic for cheap
 //             single-erasure repair.
-//  * xorsched — Cauchy RS compiled to an XOR schedule; byte-identical wire
-//             behavior to rs, so any traffic delta is measurement noise.
 //
-// Expected shape: RS is the traffic floor (xorsched must tie it); rlc2 pays
+// Expected shape: RS is the traffic floor; rlc2 pays
 // a small overhead (its k' = k + delta inflates both the distance math and
 // the occasional decode failure retry); rlc256 sits in between; lrc pays
 // the largest deterministic k' premium. This quantifies the paper's
@@ -36,7 +34,6 @@ void run(const BenchOptions& opt) {
       {erasure::CodecKind::kRlcGf2, 2, "rlc2"},
       {erasure::CodecKind::kLt, 16, "lt(n=64)"},
       {erasure::CodecKind::kLrc, 0, "lrc"},
-      {erasure::CodecKind::kXorSchedule, 0, "xorsched"},
   };
   const std::vector<double> losses =
       opt.quick ? std::vector<double>{0.1} : std::vector<double>{0.0, 0.1,

@@ -2,7 +2,7 @@
 //
 // Drives the multi-tenant campaign engine (src/fleet) through a tenants x
 // cells ladder — up to 16 tenants and 1024 concurrent one-hop cells in one
-// process — mixing codecs (rs / lrc / xorsched), image versions and at
+// process — mixing codecs (rs / lrc), image versions and at
 // least one delta-image tenant per rung, and reports per-tenant completion,
 // aggregate events/sec, per-tenant load imbalance and peak RSS.
 //
@@ -71,21 +71,8 @@ double peak_rss_mb() {
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
 }
 
-const char* codec_name(erasure::CodecKind k) {
-  switch (k) {
-    case erasure::CodecKind::kReedSolomon: return "rs";
-    case erasure::CodecKind::kRlcGf2: return "rlc2";
-    case erasure::CodecKind::kRlcGf256: return "rlc256";
-    case erasure::CodecKind::kLt: return "lt";
-    case erasure::CodecKind::kLrc: return "lrc";
-    case erasure::CodecKind::kXorSchedule: return "xorsched";
-  }
-  return "?";
-}
-
 /// Tenant `t` of a rung: small LR-Seluge geometry (fast cells), codec
-/// cycling through the three deterministic backends, versions 1-3, image
-/// sizes 1-2.5 KB, heterogeneous 4-12 receiver stars, and every fifth
+/// cycling rs / lrc / rs, versions 1-3, image sizes 1-2.5 KB, heterogeneous 4-12 receiver stars, and every fifth
 /// tenant a delta-image tenant (previous version's image patched to this
 /// one, only changed pages disseminated).
 fleet::TenantSpec tenant_spec(std::size_t rung_index, std::size_t t,
@@ -107,7 +94,7 @@ fleet::TenantSpec tenant_spec(std::size_t rung_index, std::size_t t,
       spec.delta ? 2 : static_cast<Version>(1 + t % 3);
   const erasure::CodecKind kCodecs[] = {erasure::CodecKind::kReedSolomon,
                                         erasure::CodecKind::kLrc,
-                                        erasure::CodecKind::kXorSchedule};
+                                        erasure::CodecKind::kReedSolomon};
   spec.params.codec = kCodecs[t % 3];
   spec.image_size = 1024 + 512 * (t % 4);
   spec.seed = 1 + 1000 * rung_index + t;
@@ -197,7 +184,7 @@ int run(int argc, char** argv) {
       // timing numbers live on the ALL row so they appear exactly once.
       table.add_row({rung_name, std::to_string(rung.tenants),
                      std::to_string(report.cells), tr.name,
-                     codec_name(tr.codec), std::to_string(tr.version),
+                     erasure::codec_kind_name(tr.codec), std::to_string(tr.version),
                      tr.delta ? "true" : "false",
                      std::to_string(tr.receivers),
                      std::to_string(tr.converged_cells) + "/" +

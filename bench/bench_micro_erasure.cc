@@ -7,10 +7,10 @@
 // sweep of kernels x (k, n, payload) and writes machine-readable results to
 // BENCH_micro_erasure.json (override the path with LRS_BENCH_JSON, skip with
 // LRS_BENCH_JSON=none) so successive PRs have a perf trajectory to track.
-// The sweep also covers the LRC and XOR-schedule backends: encode/decode per
-// geometry, the local-repair fast path, Monte Carlo local-repair hit rates
-// at the Fig. 6 loss points, and the xorsched-vs-table-RS speedup row, plus
-// RS decode at the paper geometry by erased-data count.
+// The sweep also covers the LRC backend: encode/decode per geometry, the
+// local-repair fast path and Monte Carlo local-repair hit rates at the
+// Fig. 6 loss points, plus RS decode at the paper geometry by erased-data
+// count.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -118,8 +118,6 @@ void BM_Rlc256Encode(benchmark::State& s) { encode_bench(s, CodecKind::kRlcGf256
 void BM_Rlc256Decode(benchmark::State& s) { decode_bench(s, CodecKind::kRlcGf256, 1); }
 void BM_LrcEncode(benchmark::State& s) { encode_bench(s, CodecKind::kLrc, 0); }
 void BM_LrcDecode(benchmark::State& s) { decode_bench(s, CodecKind::kLrc, 0); }
-void BM_XorschedEncode(benchmark::State& s) { encode_bench(s, CodecKind::kXorSchedule, 0); }
-void BM_XorschedDecode(benchmark::State& s) { decode_bench(s, CodecKind::kXorSchedule, 0); }
 
 BENCHMARK(BM_RsEncode);
 BENCHMARK(BM_RsDecode);
@@ -129,8 +127,6 @@ BENCHMARK(BM_Rlc256Encode);
 BENCHMARK(BM_Rlc256Decode);
 BENCHMARK(BM_LrcEncode);
 BENCHMARK(BM_LrcDecode);
-BENCHMARK(BM_XorschedEncode);
-BENCHMARK(BM_XorschedDecode);
 
 void BM_LrcLocalRepairDecode(benchmark::State& state) {
   // The cheap path the LRC exists for: one data block missing, its group's
@@ -289,50 +285,37 @@ std::vector<SweepResult> run_sweep() {
   return results;
 }
 
-/// Codec-backend rows (PR 8): LRC and XOR-schedule encode/decode under the
-/// active kernel, the LRC local-repair fast path, and Monte Carlo
-/// local-repair hit rates under the Fig. 6 loss points. These run once (not
-/// per kernel): the XOR schedule's paper-geometry path is register-resident
-/// u64 arithmetic and LRC's hot loops go through the same dispatched addmul
-/// as RS.
+/// LRC rows: encode/decode under the active kernel, the local-repair fast
+/// path, and Monte Carlo local-repair hit rates under the Fig. 6 loss
+/// points. These run once (not per kernel): LRC's hot loops go through the
+/// same dispatched addmul as RS.
 void append_codec_sweep(std::vector<SweepResult>& results) {
   const SweepConfig configs[] = {
       {32, 48, 64},
       {16, 24, 32},
       {64, 128, 256},
   };
-  const struct {
-    CodecKind kind;
-    const char* name;
-  } codecs[] = {
-      {CodecKind::kLrc, "lrc"},
-      {CodecKind::kXorSchedule, "xorsched"},
-  };
-  for (const auto& c : codecs) {
-    for (const auto& cfg : configs) {
-      const std::string suffix = "/k=" + std::to_string(cfg.k) +
-                                 "/n=" + std::to_string(cfg.n) +
-                                 "/len=" + std::to_string(cfg.payload);
-      auto code = make_code(c.kind, cfg.k, cfg.n, 0, 0);
-      const auto blocks = random_blocks(cfg.k, cfg.payload, 2);
-      const std::size_t page_bytes = cfg.k * cfg.payload;
-      results.push_back(
-          time_op(std::string(c.name) + "_encode" + suffix, page_bytes, [&] {
-            benchmark::DoNotOptimize(code->encode(blocks));
-          }));
+  for (const auto& cfg : configs) {
+    const std::string suffix = "/k=" + std::to_string(cfg.k) +
+                               "/n=" + std::to_string(cfg.n) +
+                               "/len=" + std::to_string(cfg.payload);
+    auto code = make_lrc_code(cfg.k, cfg.n);
+    const auto blocks = random_blocks(cfg.k, cfg.payload, 2);
+    const std::size_t page_bytes = cfg.k * cfg.payload;
+    results.push_back(time_op("lrc_encode" + suffix, page_bytes, [&] {
+      benchmark::DoNotOptimize(code->encode(blocks));
+    }));
 
-      // Parity-heavy decode at the codec's own threshold.
-      const auto encoded = code->encode(blocks);
-      std::vector<Share> shares;
-      for (std::size_t i = 0; i < code->decode_threshold(); ++i) {
-        const std::size_t idx = cfg.n - 1 - i;
-        shares.push_back({idx, encoded[idx]});
-      }
-      results.push_back(
-          time_op(std::string(c.name) + "_decode" + suffix, page_bytes, [&] {
-            benchmark::DoNotOptimize(code->decode(shares));
-          }));
+    // Parity-heavy decode at the codec's own threshold.
+    const auto encoded = code->encode(blocks);
+    std::vector<Share> shares;
+    for (std::size_t i = 0; i < code->decode_threshold(); ++i) {
+      const std::size_t idx = cfg.n - 1 - i;
+      shares.push_back({idx, encoded[idx]});
     }
+    results.push_back(time_op("lrc_decode" + suffix, page_bytes, [&] {
+      benchmark::DoNotOptimize(code->decode(shares));
+    }));
   }
 
   // LRC local-repair fast path at the paper geometry: one erased data block
@@ -382,13 +365,17 @@ void append_rs_erasure_sweep(std::vector<SweepResult>& results) {
 /// registry, so each loss point resets them before its trial loop.
 void append_local_repair_rates(std::vector<SweepResult>& results) {
   stats::set_enabled(true);
+  auto& reg = stats::Registry::instance();
+  stats::Counter& decodes = reg.counter("erasure.lrc.decodes");
+  stats::Counter& local_only = reg.counter("erasure.lrc.local_only_decodes");
   const struct {
     double p;
     const char* label;
   } losses[] = {{0.05, "0.05"}, {0.1, "0.1"}, {0.2, "0.2"}};
   for (const auto& loss : losses) {
     auto code = make_lrc_code(32, 48);
-    lrc_stats_reset(*code);
+    decodes.reset();
+    local_only.reset();
     const auto blocks = random_blocks(32, 64, 6);
     const auto encoded = code->encode(blocks);
     Rng rng(static_cast<std::uint64_t>(loss.p * 1000) + 9);
@@ -402,15 +389,14 @@ void append_local_repair_rates(std::vector<SweepResult>& results) {
       }
       benchmark::DoNotOptimize(code->decode(shares));
     }
-    const auto st = lrc_stats(*code);
     const double rate =
-        st->decodes == 0
+        decodes.value() == 0
             ? 0.0
-            : static_cast<double>(st->local_only_decodes) /
-                  static_cast<double>(st->decodes);
+            : static_cast<double>(local_only.value()) /
+                  static_cast<double>(decodes.value());
     results.push_back({"lrc_local_repair_rate/p=" + std::string(loss.label) +
                            "/k=32/n=48",
-                       rate, static_cast<double>(st->decodes)});
+                       rate, static_cast<double>(decodes.value())});
   }
 }
 
@@ -447,23 +433,6 @@ void append_speedups(std::vector<SweepResult>& results) {
     if (best == nullptr) continue;
     results.push_back({std::string(op) + "/speedup/" + best_name + "_vs_ref",
                        best->mb_per_s / ref->mb_per_s, 0.0});
-  }
-
-  // Acceptance row for the XOR-schedule backend: its compiled encode against
-  // table-kernel RS at the paper geometry (the SIMD kernels are a separate
-  // axis already covered by the rows above).
-  auto find_exact = [&](const std::string& want) -> const SweepResult* {
-    for (const auto& r : results) {
-      if (r.name == want) return &r;
-    }
-    return nullptr;
-  };
-  const SweepResult* rs_table =
-      find_exact("rs_encode/kernel=table/k=32/n=48/len=64");
-  const SweepResult* xs = find_exact("xorsched_encode/k=32/n=48/len=64");
-  if (rs_table != nullptr && xs != nullptr && rs_table->mb_per_s > 0) {
-    results.push_back({"xorsched_encode/speedup/xorsched_vs_rs_table",
-                       xs->mb_per_s / rs_table->mb_per_s, 0.0});
   }
 }
 

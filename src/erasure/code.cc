@@ -12,8 +12,21 @@ std::optional<CodecKind> parse_codec_kind(const std::string& name) {
   if (name == "rlc256") return CodecKind::kRlcGf256;
   if (name == "lt") return CodecKind::kLt;
   if (name == "lrc") return CodecKind::kLrc;
-  if (name == "xorsched") return CodecKind::kXorSchedule;
+  // Retired XOR-schedule backend: same Cauchy generator, so RS emits the
+  // identical codewords older plans and .scn files were written against.
+  if (name == "xorsched") return CodecKind::kReedSolomon;
   return std::nullopt;
+}
+
+const char* codec_kind_name(CodecKind kind) {
+  switch (kind) {
+    case CodecKind::kReedSolomon: return "rs";
+    case CodecKind::kRlcGf2: return "rlc2";
+    case CodecKind::kRlcGf256: return "rlc256";
+    case CodecKind::kLt: return "lt";
+    case CodecKind::kLrc: return "lrc";
+  }
+  return "?";
 }
 
 std::unique_ptr<ErasureCode> make_code(CodecKind kind, std::size_t k,
@@ -30,8 +43,6 @@ std::unique_ptr<ErasureCode> make_code(CodecKind kind, std::size_t k,
       return make_lt_code(k, n, delta, seed);
     case CodecKind::kLrc:
       return make_lrc_code(k, n);
-    case CodecKind::kXorSchedule:
-      return make_xorsched_code(k, n);
   }
   return nullptr;
 }
@@ -59,10 +70,9 @@ std::shared_ptr<const ErasureCode> make_code_cached(CodecKind kind,
                                                     std::size_t n,
                                                     std::size_t delta,
                                                     std::uint64_t seed) {
-  if (kind == CodecKind::kReedSolomon || kind == CodecKind::kLrc ||
-      kind == CodecKind::kXorSchedule) {
+  if (kind == CodecKind::kReedSolomon || kind == CodecKind::kLrc) {
     // These constructions ignore delta and seed; canonicalize so all
-    // spellings share one generator matrix / XOR schedule.
+    // spellings share one generator matrix.
     delta = 0;
     seed = 0;
   }

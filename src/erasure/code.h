@@ -17,10 +17,7 @@
 //    global Cauchy parities. A single erasure inside a group repairs from
 //    the group alone (no k-wide solve); any k + g - 1 blocks decode
 //    deterministically (weaker than MDS — see lrc_code.cc).
-//  * XorScheduleCode — the same Cauchy-RS construction compiled into a
-//    precomputed word-wise XOR program (jerasure matrix_to_bitmatrix /
-//    bitmatrix_to_schedule style); MDS like RS but with no GF(256)
-//    multiplies on the encode path.
+//  * LtCode — fixed-rate LT code with a peeling decoder.
 #pragma once
 
 #include <memory>
@@ -92,41 +89,16 @@ std::unique_ptr<ErasureCode> make_lt_code(std::size_t k, std::size_t n,
 /// block whose group parity survived repairs from its group alone.
 std::unique_ptr<ErasureCode> make_lrc_code(std::size_t k, std::size_t n);
 
-/// Cauchy-RS compiled to a word-wise XOR schedule; requires k <= n <= 255.
-/// Byte-identical codewords to make_rs_code(k, n) (same generator), but
-/// encode/decode run a precomputed bitmatrix-derived XOR program over
-/// bit-planes instead of GF(256) table multiplies. MDS (k' == k).
-std::unique_ptr<ErasureCode> make_xorsched_code(std::size_t k, std::size_t n);
-
 /// Number of local parity groups the LRC construction uses for (k, n): the
 /// largest divisor of k that is <= (n - k) / 2, or 0 when n - k < 2 (too few
 /// parities for locality to pay — all parities are plain global RS rows).
 std::size_t lrc_group_count(std::size_t k, std::size_t n);
 
-/// Decode-path counters of the LRC backend. Since the metrics subsystem
-/// (sim/stats/stats.h) these are snapshots of the process-wide registry
-/// counters "erasure.lrc.{decodes,local_repairs,local_only_decodes,
-/// full_solves}": shared by every LrcCode instance, cumulative since
-/// process start or the last lrc_stats_reset, thread-safe, and — like all
-/// registry metrics — only advancing while stats::enabled().
-struct LrcStats {
-  std::uint64_t decodes = 0;        ///< decode() calls that returned blocks
-  std::uint64_t local_repairs = 0;  ///< single-erasure group repairs done
-  std::uint64_t local_only_decodes = 0;  ///< decodes with no k-wide solve
-  std::uint64_t full_solves = 0;         ///< decodes that ran a k-wide solve
-};
-
-/// Snapshot of the LRC counters; nullopt when `code` is not an LrcCode.
-std::optional<LrcStats> lrc_stats(const ErasureCode& code);
-
-/// Zeroes the LRC counters; no-op when `code` is not an LrcCode.
-void lrc_stats_reset(const ErasureCode& code);
-
-/// Parses "rs", "rlc2", "rlc256", "lt", "lrc", "xorsched" — used by
-/// example/bench CLI flags and scenario files.
-enum class CodecKind { kReedSolomon, kRlcGf2, kRlcGf256, kLt, kLrc,
-                       kXorSchedule };
+/// Parses "rs", "rlc2", "rlc256", "lt", "lrc" — used by example/bench CLI
+/// flags and scenario files. codec_kind_name is its inverse.
+enum class CodecKind { kReedSolomon, kRlcGf2, kRlcGf256, kLt, kLrc };
 std::optional<CodecKind> parse_codec_kind(const std::string& name);
+const char* codec_kind_name(CodecKind kind);
 std::unique_ptr<ErasureCode> make_code(CodecKind kind, std::size_t k,
                                        std::size_t n, std::size_t delta,
                                        std::uint64_t seed);
@@ -137,8 +109,8 @@ std::unique_ptr<ErasureCode> make_code(CodecKind kind, std::size_t k,
 /// Carlo trial of the bench harnesses — can share one generator matrix
 /// instead of rebuilding the Cauchy/RLC construction per node. Codecs are
 /// deterministic and stateless after construction, hence safe to share.
-/// Seed-independent kinds (Reed-Solomon, LRC, XOR-schedule) canonicalize
-/// delta/seed in the key, so all spellings share one instance.
+/// Seed-independent kinds (Reed-Solomon, LRC) canonicalize delta/seed in
+/// the key, so all spellings share one instance.
 /// Thread-safe; entries live for the process lifetime (a handful of small
 /// matrices).
 std::shared_ptr<const ErasureCode> make_code_cached(CodecKind kind,

@@ -37,10 +37,9 @@
 // decode() first repairs single-erasure groups from the group alone (group
 // size + 1 byte-rows touched instead of a k-wide solve) and only falls back
 // to Gaussian elimination when local repair cannot complete the page. The
-// counters behind lrc_stats() record how often each path fires; since the
-// metrics subsystem landed they are process-wide registry counters
-// ("erasure.lrc.*", gated on stats::enabled()) and lrc_stats() is a thin
-// snapshot shim kept for bench_micro_erasure and the conformance tests.
+// process-wide registry counters "erasure.lrc.{decodes,local_repairs,
+// local_only_decodes,full_solves}" (gated on stats::enabled()) record how
+// often each path fires.
 #include "erasure/code.h"
 #include "erasure/gf256.h"
 #include "erasure/matrix.h"
@@ -60,7 +59,7 @@ std::size_t lrc_group_count(std::size_t k, std::size_t n) {
 
 namespace {
 
-/// The migrated lrc_stats() counters plus the encode/decode scope timers,
+/// The decode-path counters plus the encode/decode scope timers,
 /// resolved once and recorded through references (hot-path contract of
 /// sim/stats/stats.h).
 struct LrcRegistry {
@@ -242,26 +241,6 @@ class LrcCode final : public ErasureCode {
 
 std::unique_ptr<ErasureCode> make_lrc_code(std::size_t k, std::size_t n) {
   return std::make_unique<LrcCode>(k, n);
-}
-
-std::optional<LrcStats> lrc_stats(const ErasureCode& code) {
-  if (dynamic_cast<const LrcCode*>(&code) == nullptr) return std::nullopt;
-  const LrcRegistry& r = LrcRegistry::get();
-  LrcStats s;
-  s.decodes = r.decodes.value();
-  s.local_repairs = r.local_repairs.value();
-  s.local_only_decodes = r.local_only_decodes.value();
-  s.full_solves = r.full_solves.value();
-  return s;
-}
-
-void lrc_stats_reset(const ErasureCode& code) {
-  if (dynamic_cast<const LrcCode*>(&code) == nullptr) return;
-  LrcRegistry& r = LrcRegistry::get();
-  r.decodes.reset();
-  r.local_repairs.reset();
-  r.local_only_decodes.reset();
-  r.full_solves.reset();
 }
 
 }  // namespace lrs::erasure

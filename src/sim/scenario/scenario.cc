@@ -21,18 +21,6 @@ namespace {
 constexpr sim::SimTime kSleepForever =
     std::numeric_limits<sim::SimTime>::max() / 4;
 
-const char* codec_name(erasure::CodecKind k) {
-  switch (k) {
-    case erasure::CodecKind::kReedSolomon: return "rs";
-    case erasure::CodecKind::kRlcGf2: return "rlc2";
-    case erasure::CodecKind::kRlcGf256: return "rlc256";
-    case erasure::CodecKind::kLt: return "lt";
-    case erasure::CodecKind::kLrc: return "lrc";
-    case erasure::CodecKind::kXorSchedule: return "xorsched";
-  }
-  return "?";
-}
-
 std::string trim(const std::string& s) {
   const std::size_t a = s.find_first_not_of(" \t\r");
   if (a == std::string::npos) return "";
@@ -643,7 +631,7 @@ std::string canonical_scenario(const Scenario& s) {
   os << "k0 = " << s.k0 << "\n";
   os << "n0 = " << s.n0 << "\n";
   os << "delta = " << s.delta << "\n";
-  os << "codec = " << codec_name(s.codec) << "\n";
+  os << "codec = " << erasure::codec_kind_name(s.codec) << "\n";
   os << "puzzle_strength = " << static_cast<unsigned>(s.puzzle_strength)
      << "\n";
   os << "greedy_scheduler = " << (s.greedy_scheduler ? "true" : "false")

@@ -429,6 +429,17 @@ TEST(CodecRegistry, ParsesNames) {
   EXPECT_FALSE(parse_codec_kind("fountain").has_value());
 }
 
+TEST(CodecRegistry, EveryKindRoundTripsThroughItsName) {
+  for (const auto kind : {CodecKind::kReedSolomon, CodecKind::kRlcGf2,
+                          CodecKind::kRlcGf256, CodecKind::kLt,
+                          CodecKind::kLrc}) {
+    const std::string name = codec_kind_name(kind);
+    EXPECT_EQ(parse_codec_kind(name), kind) << name;
+    EXPECT_EQ(codec_kind_name(*parse_codec_kind(name)), name);
+    EXPECT_EQ(make_code(kind, 8, 16, 2, 1)->name(), name);
+  }
+}
+
 TEST(CodecRegistry, ThresholdReflectsDelta) {
   EXPECT_EQ(make_code(CodecKind::kReedSolomon, 8, 16, 2, 1)->decode_threshold(),
             8u);
@@ -545,6 +556,15 @@ std::string to_hex(const Bytes& b) {
   return s;
 }
 
+TEST(RsCode, GoldenParityBytes) {
+  auto code = make_rs_code(4, 8);
+  const auto encoded = code->encode(pattern_blocks(4, 8));
+  EXPECT_EQ(to_hex(encoded[4]), "74471221b88bdeed");
+  EXPECT_EQ(to_hex(encoded[5]), "695a0f3ca596c3f0");
+  EXPECT_EQ(to_hex(encoded[6]), "4e7d281b82b1e4d7");
+  EXPECT_EQ(to_hex(encoded[7]), "536035069facf9ca");
+}
+
 TEST(LrcCode, GroupCountRule) {
   // Largest divisor of k that is <= (n-k)/2; 0 when fewer than 2 parities.
   EXPECT_EQ(lrc_group_count(32, 48), 8u);  // paper geometry -> k' = 39
@@ -590,8 +610,15 @@ TEST(LrcCode, LocalRepairCountsAndResets) {
   // The counters live in the process-wide metrics registry now: enable the
   // registry and zero any residue left by earlier tests in this binary.
   stats::set_enabled(true);
+  auto& reg = stats::Registry::instance();
+  stats::Counter& decodes = reg.counter("erasure.lrc.decodes");
+  stats::Counter& local_repairs = reg.counter("erasure.lrc.local_repairs");
+  stats::Counter& local_only = reg.counter("erasure.lrc.local_only_decodes");
+  stats::Counter& full_solves = reg.counter("erasure.lrc.full_solves");
+  for (stats::Counter* c : {&decodes, &local_repairs, &local_only,
+                            &full_solves})
+    c->reset();
   auto code = make_lrc_code(8, 16);  // g=4, groups of 2, locals at 8..11
-  lrc_stats_reset(*code);
   const auto blocks = pattern_blocks(8, 12);
   const auto encoded = code->encode(blocks);
 
@@ -601,76 +628,36 @@ TEST(LrcCode, LocalRepairCountsAndResets) {
     if (i != 3) shares.push_back({i, encoded[i]});
   shares.push_back({9, encoded[9]});
   EXPECT_EQ(code->decode(shares).value(), blocks);
-  auto st = lrc_stats(*code);
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->decodes, 1u);
-  EXPECT_EQ(st->local_repairs, 1u);
-  EXPECT_EQ(st->local_only_decodes, 1u);
-  EXPECT_EQ(st->full_solves, 0u);
+  EXPECT_EQ(decodes.value(), 1u);
+  EXPECT_EQ(local_repairs.value(), 1u);
+  EXPECT_EQ(local_only.value(), 1u);
+  EXPECT_EQ(full_solves.value(), 0u);
 
   // Drop both blocks of group 0: local repair cannot fire, full solve runs.
   shares.clear();
   for (std::size_t i = 2; i < 8; ++i) shares.push_back({i, encoded[i]});
   for (std::size_t i = 8; i < 13; ++i) shares.push_back({i, encoded[i]});
   EXPECT_EQ(code->decode(shares).value(), blocks);
-  st = lrc_stats(*code);
-  EXPECT_EQ(st->decodes, 2u);
-  EXPECT_EQ(st->full_solves, 1u);
+  EXPECT_EQ(decodes.value(), 2u);
+  EXPECT_EQ(full_solves.value(), 1u);
 
-  lrc_stats_reset(*code);
-  st = lrc_stats(*code);
-  EXPECT_EQ(st->decodes, 0u);
-  EXPECT_EQ(st->local_repairs, 0u);
+  decodes.reset();
+  local_repairs.reset();
+  EXPECT_EQ(decodes.value(), 0u);
+  EXPECT_EQ(local_repairs.value(), 0u);
 
   // Failed decodes are not counted as decodes.
   EXPECT_FALSE(code->decode({}).has_value());
-  EXPECT_EQ(lrc_stats(*code)->decodes, 0u);
-}
-
-TEST(LrcCode, StatsAreNulloptForOtherCodecs) {
-  auto rs = make_rs_code(4, 8);
-  EXPECT_FALSE(lrc_stats(*rs).has_value());
-  lrc_stats_reset(*rs);  // must be a harmless no-op
-}
-
-TEST(XorschedCode, GoldenParityBytesMatchRs) {
-  // The whole point: byte-identical codewords to the table-multiply RS
-  // backend, computed through the XOR schedule.
-  auto code = make_xorsched_code(4, 8);
-  const auto encoded = code->encode(pattern_blocks(4, 8));
-  EXPECT_EQ(to_hex(encoded[4]), "74471221b88bdeed");
-  EXPECT_EQ(to_hex(encoded[5]), "695a0f3ca596c3f0");
-  EXPECT_EQ(to_hex(encoded[6]), "4e7d281b82b1e4d7");
-  EXPECT_EQ(to_hex(encoded[7]), "536035069facf9ca");
-
-  auto rs = make_rs_code(4, 8);
-  EXPECT_EQ(rs->encode(pattern_blocks(4, 8)), encoded);
-}
-
-TEST(XorschedCode, MatchesRsAcrossLengthsAndGeometries) {
-  Rng rng(314);
-  for (const auto& [k, n] : {std::pair<std::size_t, std::size_t>{1, 2},
-                            std::pair<std::size_t, std::size_t>{8, 16},
-                            std::pair<std::size_t, std::size_t>{32, 48}}) {
-    for (std::size_t len : {std::size_t{1}, std::size_t{37}, std::size_t{64},
-                            std::size_t{513}}) {
-      std::vector<Bytes> blocks(k);
-      for (auto& b : blocks) {
-        b.resize(len);
-        for (auto& v : b) v = static_cast<std::uint8_t>(rng.uniform(256));
-      }
-      const auto ex = make_xorsched_code(k, n)->encode(blocks);
-      const auto er = make_rs_code(k, n)->encode(blocks);
-      EXPECT_EQ(ex, er) << "k=" << k << " n=" << n << " len=" << len;
-    }
-  }
+  EXPECT_EQ(decodes.value(), 0u);
 }
 
 TEST(XorschedCode, RegistryExposesIt) {
-  EXPECT_EQ(parse_codec_kind("xorsched"), CodecKind::kXorSchedule);
+  // The retired XOR-schedule spelling still parses, as the RS code it was
+  // byte-identical to.
+  EXPECT_EQ(parse_codec_kind("xorsched"), CodecKind::kReedSolomon);
   EXPECT_EQ(parse_codec_kind("lrc"), CodecKind::kLrc);
-  auto xs = make_code(CodecKind::kXorSchedule, 8, 16, 3, 99);
-  EXPECT_EQ(xs->name(), "xorsched");
+  auto xs = make_code(*parse_codec_kind("xorsched"), 8, 16, 3, 99);
+  EXPECT_EQ(xs->name(), "rs");
   EXPECT_EQ(xs->decode_threshold(), 8u);  // MDS: delta ignored
   auto lrc = make_code(CodecKind::kLrc, 8, 16, 3, 99);
   EXPECT_EQ(lrc->name(), "lrc");
@@ -685,7 +672,7 @@ TEST(XorschedCode, RegistryExposesIt) {
 TEST(DecodeFuzz, MalformedSharesFailCleanly) {
   const CodecKind kinds[] = {CodecKind::kReedSolomon, CodecKind::kRlcGf2,
                              CodecKind::kRlcGf256,    CodecKind::kLt,
-                             CodecKind::kLrc,         CodecKind::kXorSchedule};
+                             CodecKind::kLrc};
   for (std::size_t ki = 0; ki < std::size(kinds); ++ki) {
     auto code = make_code(kinds[ki], 8, 16, 2, 5);
     std::vector<Bytes> blocks(8);
@@ -739,7 +726,7 @@ TEST(DecodeFuzz, MalformedSharesFailCleanly) {
 }
 
 // ---------------------------------------------------------------------------
-// Codec cache: canonicalization of the new seed-independent kinds, and the
+// Codec cache: canonicalization of the seed-independent kinds, and the
 // thread-hammer the TSan CI job runs.
 // ---------------------------------------------------------------------------
 
@@ -748,8 +735,8 @@ TEST(CodecCache, CanonicalizesLrcAndXorschedSpellings) {
   auto a = make_code_cached(CodecKind::kLrc, 8, 16, 0, 0);
   auto b = make_code_cached(CodecKind::kLrc, 8, 16, 3, 0xdeadbeef);
   EXPECT_EQ(a.get(), b.get());
-  auto c = make_code_cached(CodecKind::kXorSchedule, 8, 16, 0, 0);
-  auto d = make_code_cached(CodecKind::kXorSchedule, 8, 16, 7, 42);
+  auto c = make_code_cached(CodecKind::kReedSolomon, 8, 16, 0, 0);
+  auto d = make_code_cached(*parse_codec_kind("xorsched"), 8, 16, 7, 42);
   EXPECT_EQ(c.get(), d.get());
   EXPECT_NE(a.get(), c.get());  // kinds stay distinct entries
   EXPECT_EQ(codec_cache_size(), 2u);
@@ -762,7 +749,11 @@ TEST(CodecCache, ThreadHammerSharedInstances) {
   // are the only mutable state). Run under TSan in CI.
   codec_cache_clear();
   stats::set_enabled(true);
-  lrc_stats_reset(*make_code_cached(CodecKind::kLrc, 8, 16, 0, 0));
+  auto& reg = stats::Registry::instance();
+  stats::Counter& decodes = reg.counter("erasure.lrc.decodes");
+  stats::Counter& local_repairs = reg.counter("erasure.lrc.local_repairs");
+  decodes.reset();
+  local_repairs.reset();
   constexpr int kThreads = 8;
   constexpr int kIters = 25;
   std::vector<Bytes> blocks(8);
@@ -775,7 +766,7 @@ TEST(CodecCache, ThreadHammerSharedInstances) {
         auto lrc = make_code_cached(CodecKind::kLrc, 8, 16,
                                     static_cast<std::size_t>(i % 3),
                                     static_cast<std::uint64_t>(t));
-        auto xs = make_code_cached(CodecKind::kXorSchedule, 8, 16,
+        auto rs = make_code_cached(CodecKind::kReedSolomon, 8, 16,
                                    static_cast<std::size_t>(i % 2),
                                    static_cast<std::uint64_t>(t * 31 + i));
         const auto enc = lrc->encode(blocks);
@@ -784,7 +775,7 @@ TEST(CodecCache, ThreadHammerSharedInstances) {
         shares.push_back({8, enc[8]});  // local parity of group {0,1}
         const auto dec = lrc->decode(shares);
         if (!dec.has_value() || *dec != blocks) failures.fetch_add(1);
-        const auto enc2 = xs->encode(blocks);
+        const auto enc2 = rs->encode(blocks);
         if (enc2.size() != 16) failures.fetch_add(1);
       }
     });
@@ -792,10 +783,9 @@ TEST(CodecCache, ThreadHammerSharedInstances) {
   for (auto& th : threads) th.join();
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(codec_cache_size(), 2u);
-  const auto st = lrc_stats(*make_code_cached(CodecKind::kLrc, 8, 16, 0, 0));
-  ASSERT_TRUE(st.has_value());
-  EXPECT_EQ(st->decodes, static_cast<std::uint64_t>(kThreads) * kIters);
-  EXPECT_EQ(st->local_repairs, static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(decodes.value(), static_cast<std::uint64_t>(kThreads) * kIters);
+  EXPECT_EQ(local_repairs.value(),
+            static_cast<std::uint64_t>(kThreads) * kIters);
   codec_cache_clear();
 }
 

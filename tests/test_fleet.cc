@@ -355,7 +355,7 @@ fleet::FleetEngine make_small_fleet() {
   engine.add_tenant(small_tenant("bravo", 20, erasure::CodecKind::kLrc, 3,
                                  false));
   engine.add_tenant(small_tenant("delta", 30,
-                                 erasure::CodecKind::kXorSchedule, 2,
+                                 erasure::CodecKind::kReedSolomon, 2,
                                  true));
   return engine;
 }

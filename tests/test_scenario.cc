@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -526,6 +527,24 @@ TEST(ScenarioCanonicalTest, NormalizesEventOrder) {
   EXPECT_EQ(s->early_sleepers[0].node, 1u);
   const std::string canon = scenario::canonical_scenario(*s);
   EXPECT_LT(canon.find("crash = 2@"), canon.find("crash = 5@"));
+}
+
+TEST(ScenarioCanonicalTest, XorschedCodecLoadsAsRs) {
+  // Older .scn files name the retired XOR-schedule codec; they load as the
+  // byte-identical RS code and canonicalize to its name.
+  const fs::path path = fs::path(::testing::TempDir()) / "xorsched.scn";
+  {
+    std::ofstream out(path);
+    out << "[scenario]\nname = legacy\ncodec = xorsched\n";
+  }
+  std::string error;
+  const auto s = scenario::load_scenario_file(path.string(), &error);
+  fs::remove(path);
+  ASSERT_TRUE(s.has_value()) << error;
+  EXPECT_EQ(s->codec, erasure::CodecKind::kReedSolomon);
+  const std::string canon = scenario::canonical_scenario(*s);
+  EXPECT_NE(canon.find("codec = rs\n"), std::string::npos) << canon;
+  EXPECT_EQ(canon.find("xorsched"), std::string::npos) << canon;
 }
 
 // ---------------------------------------------------------------------------
