@@ -1,5 +1,6 @@
 #include "core/lr_image.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -90,12 +91,10 @@ class LrSelugeState final : public proto::SchemeState {
     Bytes image(layout.image_size, 0);
     const std::size_t g = meta_->content_pages;
     for (std::size_t p = 1; p <= g; ++p) {
-      Bytes input;
-      for (const auto& block : page_inputs_[p - 1]) {
-        input.insert(input.end(), block.begin(), block.end());
-      }
-      input.resize(p < g ? layout.mid_capacity : layout.last_capacity);
-      place_slice(image, layout, p, view(input));
+      place_slice(image, layout, p,
+                  view(pages_).subspan((p - 1) * page_bytes(),
+                                       p < g ? layout.mid_capacity
+                                             : layout.last_capacity));
     }
     return image;
   }
@@ -119,7 +118,7 @@ class LrSelugeState final : public proto::SchemeState {
     // the partially collected share set for the current page is not.
     if (!meta_ || image_complete()) return;
     reset_collection(complete_pages_);
-    serve_cache_.reset();
+    serve_cache_.clear();
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
@@ -154,9 +153,8 @@ class LrSelugeState final : public proto::SchemeState {
     } else {
       m.hash_verifications += 1;
       if (payload.size() != params_.payload_size ||
-          !crypto::equal(
-              content_digest(page, index, payload, dig),
-              current_hashes_[index])) {
+          !crypto::equal(content_digest(page, index, payload, dig),
+                         expected_hash(page, index))) {
         m.auth_failures += 1;
         return DataStatus::kRejected;
       }
@@ -169,7 +167,7 @@ class LrSelugeState final : public proto::SchemeState {
       m.decode_operations += 1;
       const auto& codec = page == 0 ? code0_ : code_;
       if (auto blocks = codec->decode(shares_)) {
-        finish_page(page, *std::move(blocks));
+        finish_page(page, *blocks);
         return image_complete() ? DataStatus::kImageComplete
                                 : DataStatus::kPageComplete;
       }
@@ -191,29 +189,11 @@ class LrSelugeState final : public proto::SchemeState {
                             proto::RxDigestMemo* dig) const override {
     if (!meta_ || page >= complete_pages_ || index >= packets_in_page(page))
       return false;
-    if (page == 0) {
-      // Non-const verify helper not usable here; redo the Merkle check.
-      const std::size_t depth = merkle_depth();
-      const std::size_t block = page0_block_size();
-      if (payload.size() != block + depth * crypto::kPacketHashSize)
-        return false;
-      std::vector<crypto::PacketHash> path;
-      for (std::size_t lvl = 0; lvl < depth; ++lvl) {
-        path.push_back(crypto::read_packet_hash(
-            payload, block + lvl * crypto::kPacketHashSize));
-      }
-      m.hash_verifications += depth + 1;
-      return crypto::equal(crypto::MerkleTree::compute_root(
-                               payload.subspan(0, block), index, path),
-                           root_);
-    }
-    if (payload.size() != params_.payload_size ||
-        page_hashes_[page].size() != params_.n) {
-      return false;
-    }
+    if (page == 0) return verify_page0_packet(index, payload, m);
+    if (payload.size() != params_.payload_size) return false;
     m.hash_verifications += 1;
     return crypto::equal(content_digest(page, index, payload, dig),
-                         page_hashes_[page][index]);
+                         expected_hash(page, index));
   }
 
   /// Packet-content digest with the cross-receiver memo: the preimage is
@@ -274,8 +254,10 @@ class LrSelugeState final : public proto::SchemeState {
         index >= packets_in_page(page)) {
       return std::nullopt;
     }
-    const auto& encoded = encoded_page(page);
-    return encoded[index];
+    const ByteView packet =
+        encoded_page(page).subspan(index * packet_size(page),
+                                   packet_size(page));
+    return Bytes(packet.begin(), packet.end());
   }
 
   std::unique_ptr<proto::TxScheduler> make_scheduler(
@@ -300,6 +282,15 @@ class LrSelugeState final : public proto::SchemeState {
     while ((std::size_t{1} << d) < params_.n0) ++d;
     return d;
   }
+  /// Bytes of one served packet: the encoded block, plus the Merkle
+  /// authentication path on page 0.
+  std::size_t packet_size(std::uint32_t page) const {
+    return page == 0 ? page0_block_size() +
+                           merkle_depth() * crypto::kPacketHashSize
+                     : params_.payload_size;
+  }
+  /// Bytes of one decoded content page: k blocks of payload_size.
+  std::size_t page_bytes() const { return params_.k * params_.payload_size; }
 
   PageLayout current_layout() const {
     LRS_CHECK(meta_.has_value());
@@ -313,17 +304,16 @@ class LrSelugeState final : public proto::SchemeState {
   std::size_t mid_capacity() const {
     return params_.k * params_.payload_size - hash_block_bytes();
   }
-  std::size_t last_capacity() const {
-    return params_.k * params_.payload_size;
-  }
+  std::size_t last_capacity() const { return page_bytes(); }
 
   void adopt_meta(const SignedMeta& meta, const crypto::PacketHash& root) {
     LRS_CHECK(meta.content_pages >= 1 && meta.image_size >= 1);
     meta_ = meta;
     root_ = root;
-    page_inputs_.assign(meta.content_pages, {});
-    page_hashes_.assign(meta.content_pages + 1, {});
-    current_hashes_.clear();
+    // Sized once: growing page by page would leave doubling slack on
+    // every node.
+    m0_.reserve(params_.k0 * page0_block_size());
+    pages_.reserve(meta.content_pages * page_bytes());
     reset_collection(0);
   }
 
@@ -335,11 +325,10 @@ class LrSelugeState final : public proto::SchemeState {
   // --- verification helpers ----------------------------------------------------
 
   bool verify_page0_packet(std::uint32_t index, ByteView payload,
-                           sim::NodeMetrics& m) {
+                           sim::NodeMetrics& m) const {
     const std::size_t depth = merkle_depth();
     const std::size_t block = page0_block_size();
-    if (payload.size() != block + depth * crypto::kPacketHashSize)
-      return false;
+    if (payload.size() != packet_size(0)) return false;
     std::vector<crypto::PacketHash> path;
     path.reserve(depth);
     for (std::size_t lvl = 0; lvl < depth; ++lvl) {
@@ -352,75 +341,59 @@ class LrSelugeState final : public proto::SchemeState {
                          root_);
   }
 
-  // --- page completion -----------------------------------------------------------
-
-  void finish_page(std::uint32_t page, std::vector<Bytes> blocks) {
-    if (page == 0) {
-      // M0 holds the hash images of page 1's n packets.
-      Bytes m0;
-      for (const auto& b : blocks) m0.insert(m0.end(), b.begin(), b.end());
-      m0.resize(page0_bytes());
-      m0_blocks_ = std::move(blocks);
-      current_hashes_ = parse_hashes(view(m0));
-    } else {
-      page_hashes_[page] = current_hashes_;  // archive for replay checks
-      // Blocks = image slice (+ next page's hashes below page g).
-      if (page < meta_->content_pages) {
-        Bytes input;
-        for (const auto& b : blocks)
-          input.insert(input.end(), b.begin(), b.end());
-        current_hashes_ = parse_hashes(
-            ByteView(input).subspan(mid_capacity(), hash_block_bytes()));
-      } else {
-        current_hashes_.clear();
-      }
-      page_inputs_[page - 1] = std::move(blocks);
-    }
-    ++complete_pages_;
-    if (complete_pages_ <= meta_->content_pages) {
-      reset_collection(complete_pages_);
-    } else {
-      shares_.clear();
-      have_ = BitVec();
-    }
+  /// Authenticator of packet `index` of content page `page` (>= 1), read
+  /// where it was authenticated: M0 holds page 1's, and the tail of page
+  /// p - 1's decoded content holds page p's.
+  crypto::PacketHash expected_hash(std::uint32_t page,
+                                   std::size_t index) const {
+    const std::size_t off = index * crypto::kPacketHashSize;
+    if (page == 1) return crypto::read_packet_hash(view(m0_), off);
+    return crypto::read_packet_hash(
+        view(pages_), (page - 2) * page_bytes() + mid_capacity() + off);
   }
 
-  std::vector<crypto::PacketHash> parse_hashes(ByteView data) const {
-    LRS_CHECK(data.size() >= hash_block_bytes());
-    std::vector<crypto::PacketHash> hashes;
-    hashes.reserve(params_.n);
-    for (std::size_t j = 0; j < params_.n; ++j) {
-      hashes.push_back(
-          crypto::read_packet_hash(data, j * crypto::kPacketHashSize));
+  // --- page completion -----------------------------------------------------------
+
+  void finish_page(std::uint32_t page, const std::vector<Bytes>& blocks) {
+    Bytes& decoded = page == 0 ? m0_ : pages_;
+    for (const auto& b : blocks)
+      decoded.insert(decoded.end(), b.begin(), b.end());
+    ++complete_pages_;
+    if (image_complete()) {
+      // Nothing left to collect: give the share and bitmap storage back.
+      std::vector<erasure::Share>().swap(shares_);
+      have_ = BitVec();
+    } else {
+      reset_collection(complete_pages_);
     }
-    return hashes;
   }
 
   // --- serving ----------------------------------------------------------------
 
-  /// Regenerates (and caches) all packets of a completed page.
-  const std::vector<Bytes>& encoded_page(std::uint32_t page) {
-    if (serve_cache_ && serve_cache_->first == page)
-      return serve_cache_->second;
+  /// Regenerates (and caches) all packets of a completed page, back to back.
+  ByteView encoded_page(std::uint32_t page) {
+    if (!serve_cache_.empty() && serve_page_ == page) return view(serve_cache_);
 
-    std::vector<Bytes> payloads;
+    Bytes packets;
+    packets.reserve(packets_in_page(page) * packet_size(page));
     if (page == 0) {
-      LRS_CHECK(!m0_blocks_.empty());
-      auto encoded = code0_->encode(m0_blocks_);
-      std::vector<Bytes> leaves = encoded;
-      const auto tree = crypto::MerkleTree::build(leaves);
-      payloads.reserve(params_.n0);
+      const auto encoded = code0_->encode(
+          proto::split_fixed(view(m0_), page0_block_size(), params_.k0));
+      const auto tree = crypto::MerkleTree::build(encoded);
       for (std::size_t j = 0; j < params_.n0; ++j) {
-        Bytes payload = std::move(encoded[j]);
-        for (const auto& sib : tree.auth_path(j))
-          crypto::append(payload, sib);
-        payloads.push_back(std::move(payload));
+        packets.insert(packets.end(), encoded[j].begin(), encoded[j].end());
+        for (const auto& sib : tree.auth_path(j)) crypto::append(packets, sib);
       }
     } else {
-      payloads = code_->encode(page_inputs_[page - 1]);
+      const auto encoded = code_->encode(proto::split_fixed(
+          view(pages_).subspan((page - 1) * page_bytes(), page_bytes()),
+          params_.payload_size, params_.k));
+      for (const auto& e : encoded)
+        packets.insert(packets.end(), e.begin(), e.end());
     }
-    serve_cache_ = {page, std::move(payloads)};
-    return serve_cache_->second;
+    serve_page_ = page;
+    serve_cache_ = std::move(packets);
+    return view(serve_cache_);
   }
 
   // --- build (base station) -----------------------------------------------------
@@ -435,18 +408,18 @@ class LrSelugeState final : public proto::SchemeState {
     meta.content_pages = static_cast<std::uint32_t>(g);
     meta.image_size = static_cast<std::uint32_t>(image.size());
 
-    std::vector<std::vector<Bytes>> inputs(g);
-    std::vector<std::vector<crypto::PacketHash>> all_hashes(g + 1);
-    std::vector<crypto::PacketHash> next_hashes;  // of page p+1's packets
+    // Fill the receivers' layout back to front: page p's packet hashes go
+    // where they will be read, the tail of page p - 1 (M0 for page 1), so
+    // page p - 1's input is complete when the loop reaches it.
+    Bytes pages(g * page_bytes(), 0);
+    Bytes m0(params_.k0 * page0_block_size(), 0);
     for (std::size_t p = g; p >= 1; --p) {
-      Bytes input = page_slice(view(image), layout, p);
-      if (p < g) {
-        for (const auto& h : next_hashes) crypto::append(input, h);
-      }
-      LRS_CHECK(input.size() == params_.k * params_.payload_size);
-      auto blocks = proto::split_fixed(view(input), params_.payload_size,
-                                       params_.k);
-      auto encoded = code_->encode(blocks);
+      const auto input = MutByteView(pages).subspan((p - 1) * page_bytes(),
+                                                    page_bytes());
+      const Bytes slice = page_slice(view(image), layout, p);
+      std::copy(slice.begin(), slice.end(), input.begin());
+      auto encoded = code_->encode(
+          proto::split_fixed(input, params_.payload_size, params_.k));
       // All n preimages share one length, so the whole page hashes as a
       // single multi-buffer batch (crypto/hash.h).
       std::vector<Bytes> preimages(params_.n);
@@ -463,17 +436,15 @@ class LrSelugeState final : public proto::SchemeState {
       std::vector<crypto::PacketHash> hashes(params_.n);
       crypto::packet_hash_batch(preimage_views.data(), params_.n,
                                 hashes.data());
-      inputs[p - 1] = std::move(blocks);
-      all_hashes[p] = hashes;
-      next_hashes = std::move(hashes);
+      std::uint8_t* dst =
+          p == 1 ? m0.data()
+                 : pages.data() + (p - 2) * page_bytes() + mid_capacity();
+      for (const auto& h : hashes) dst = std::copy(h.begin(), h.end(), dst);
     }
 
     // Hash page: M0 = h_{1,1} || ... || h_{1,n}, coded with f0, Merkle tree.
-    Bytes m0;
-    for (const auto& h : next_hashes) crypto::append(m0, h);
-    auto m0_blocks =
-        proto::split_fixed(view(m0), page0_block_size(), params_.k0);
-    auto encoded0 = code0_->encode(m0_blocks);
+    const auto encoded0 = code0_->encode(
+        proto::split_fixed(view(m0), page0_block_size(), params_.k0));
     const auto tree = crypto::MerkleTree::build(encoded0);
 
     proto::SignaturePacket sig;
@@ -485,15 +456,10 @@ class LrSelugeState final : public proto::SchemeState {
 
     // Adopt as fully complete.
     adopt_meta(meta, tree.root());
-    m0_blocks_ = std::move(m0_blocks);
-    current_hashes_ = parse_hashes(view(m0));
-    page_inputs_ = std::move(inputs);
-    page_hashes_ = std::move(all_hashes);
+    m0_ = std::move(m0);
+    pages_ = std::move(pages);
     complete_pages_ = static_cast<std::uint32_t>(g + 1);
-    // current_hashes_ after full build are not used for verification, but
-    // keep the page-1 hashes for symmetry/diagnostics.
     signature_frame_ = sig.serialize();
-    shares_.clear();
     have_ = BitVec();
   }
 
@@ -506,20 +472,23 @@ class LrSelugeState final : public proto::SchemeState {
   crypto::PacketHash root_{};
   std::optional<Bytes> signature_frame_;
 
-  // Decoded state: hash-page blocks and per-content-page input blocks.
-  std::vector<Bytes> m0_blocks_;
-  std::vector<std::vector<Bytes>> page_inputs_;
-  // Archived packet hashes of completed content pages (index = page number,
-  // entry 0 unused); lets verify_stored_packet() check straggler traffic.
-  std::vector<std::vector<crypto::PacketHash>> page_hashes_;
+  // Decoded (flash-backed) state: M0's k0 blocks back to back, and content
+  // pages 1.. back to back, page_bytes() each. Below page g a page's tail,
+  // from mid_capacity(), holds the next page's packet hashes, so every
+  // packet hash is read from where it was authenticated (expected_hash).
+  Bytes m0_;
+  Bytes pages_;
 
-  // Collection state for the page currently being received.
+  // Collection state for the page currently being received; released once
+  // the image is complete.
   std::vector<erasure::Share> shares_;
   BitVec have_;
-  std::vector<crypto::PacketHash> current_hashes_;  // for current page >= 1
 
   std::uint32_t complete_pages_ = 0;
-  std::optional<std::pair<std::uint32_t, std::vector<Bytes>>> serve_cache_;
+  // The packets of page serve_page_, back to back; empty when nothing is
+  // cached.
+  std::uint32_t serve_page_ = 0;
+  Bytes serve_cache_;
 };
 
 }  // namespace

@@ -17,6 +17,8 @@
 // A node that decoded a page can regenerate all n of its packets (the code
 // instances are preloaded and deterministic), so it serves exactly the
 // packets its neighbors ask for; the most recently served page is cached.
+// Decoded pages are the only copy of the hash chain a node keeps: each
+// packet hash is read back from the page (or M0) that carried it.
 #pragma once
 
 #include <memory>

@@ -304,7 +304,6 @@ void DissemNode::handle_advertisement(const Advertisement& adv) {
   auto& info = neighbor(adv.sender);
   info.pages_complete = adv.pages_complete;
   info.bootstrapped = adv.bootstrapped;
-  info.last_heard = env().now();
 
   const std::uint32_t mine = pages_complete_;
   const bool consistent = adv.pages_complete == mine &&

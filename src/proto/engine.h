@@ -88,7 +88,6 @@ class DissemNode : public sim::Node {
   struct NeighborInfo {
     std::uint32_t pages_complete = 0;
     bool bootstrapped = false;
-    sim::SimTime last_heard = 0;
   };
 
   // --- advertisement / Trickle ---------------------------------------------

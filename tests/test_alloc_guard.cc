@@ -11,18 +11,26 @@
 //  - a full star-scenario experiment must stay under a per-event
 //    allocation budget, so protocol-layer regressions (per-packet copies,
 //    per-MAC key material, per-verify preimage buffers) show up as a test
-//    failure rather than a silent throughput loss.
+//    failure rather than a silent throughput loss, and
+//  - a completed LR-Seluge receiver must retain about one image's worth of
+//    heap, so a return to per-block page storage or duplicated hash
+//    tables shows up as a test failure rather than a larger RSS at scale.
 //
-// The hook counts every allocation in the process, so measurements are
-// deltas around single-threaded regions only.
+// The hook counts every allocation in the process and tracks live bytes
+// (malloc_usable_size), so measurements are deltas around single-threaded
+// regions only.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 
 #include "core/experiment.h"
+#include "core/lr_image.h"
+#include "crypto/wots.h"
 #include "sim/event_queue.h"
 #include "sim/stats/stats.h"
 #include "sim/time.h"
@@ -30,24 +38,41 @@
 namespace {
 
 std::atomic<std::uint64_t> g_alloc_count{0};
+std::atomic<std::int64_t> g_live_bytes{0};
 
 std::uint64_t alloc_count() {
   return g_alloc_count.load(std::memory_order_relaxed);
 }
 
-void* counted_alloc(std::size_t size) {
+std::int64_t live_bytes() {
+  return g_live_bytes.load(std::memory_order_relaxed);
+}
+
+void* track(void* p) {
   g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void* counted_alloc(std::size_t size) {
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return track(p);
   throw std::bad_alloc();
 }
 
 void* counted_aligned_alloc(std::size_t size, std::size_t align) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   void* p = nullptr;
   if (posix_memalign(&p, align, size == 0 ? align : size) != 0) {
     throw std::bad_alloc();
   }
-  return p;
+  return track(p);
+}
+
+void counted_free(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
 }
 
 }  // namespace
@@ -62,17 +87,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
 void* operator new[](std::size_t size, std::align_val_t align) {
   return counted_aligned_alloc(size, static_cast<std::size_t>(align));
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept {
+  counted_free(p);
+}
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace lrs {
@@ -287,6 +314,47 @@ TEST(AllocGuard, MetricsEnabledEventLoopAllocatesNothing) {
   EXPECT_EQ(fired - fired_before, 200000u);
   EXPECT_EQ(allocs, 0u) << "metrics-enabled schedule/cancel/pop must not "
                            "touch the heap";
+}
+
+TEST(AllocGuard, CompletedReceiverRetainsAboutOneImage) {
+  // The geo-10k geometry: a 1,024-byte image in six content pages of
+  // k=8 32-byte blocks, n=12, plus the k0=4/n0=8 hash page.
+  proto::CommonParams params;
+  params.payload_size = 32;
+  params.k = 8;
+  params.n = 12;
+  params.k0 = 4;
+  params.n0 = 8;
+  params.puzzle_strength = 4;
+  const Bytes image = core::make_test_image(1024, 1);
+  const Bytes seed{0x11, 0x22, 0x33, 0x44};
+  crypto::MultiKeySigner signer(view(seed), 2);
+  auto src = core::make_lr_source(params, image, signer);
+  auto rx = core::make_lr_receiver(params, signer.root_public_key());
+
+  sim::NodeMetrics m;
+  ASSERT_TRUE(rx->on_signature(view(*src->signature_frame()), m));
+  for (std::uint32_t p = 0; p < src->num_pages(); ++p) {
+    for (std::uint32_t j = 0; rx->pages_complete() == p; ++j) {
+      ASSERT_LT(j, src->packets_in_page(p));
+      rx->on_data(p, j, view(*src->packet_payload(p, j)), m);
+    }
+  }
+  ASSERT_TRUE(rx->image_complete());
+  ASSERT_EQ(rx->assemble_image(), image);
+  // A completed receiver serves its neighbors, so its serve cache is full.
+  ASSERT_TRUE(rx->packet_payload(src->num_pages() - 1, 0).has_value());
+
+  const std::int64_t before = live_bytes();
+  rx.reset();
+  const std::int64_t retained = before - live_bytes();
+
+  // The decoded pages (1,536 bytes), M0 (96), one served page (384), the
+  // 672-byte signature frame and the object itself measure 3,128 usable
+  // bytes on glibc x86-64; per-block page storage with duplicated hash
+  // tables measured 6,576.
+  EXPECT_LT(retained, 4500) << "completed receiver retains " << retained
+                            << " heap bytes";
 }
 
 }  // namespace

@@ -324,6 +324,24 @@ TEST(MultiKeySigner, KnownAnswerOnEveryKernel) {
   }
 }
 
+// core/experiment.cc builds the key tree once and signs each trial with a
+// copy: the copy must sign like a freshly built signer, and must leave the
+// original's one-time keys unused.
+TEST(MultiKeySigner, CopySignsLikeFreshSigner) {
+  const Bytes seed{0x11, 0x22, 0x33, 0x44};
+  const Bytes msg = str_bytes("image metadata || root");
+  const MultiKeySigner prototype(view(seed), 2);
+  for (int trial = 0; trial < 2; ++trial) {
+    MultiKeySigner copy = prototype;
+    MultiKeySigner fresh(view(seed), 2);
+    const auto sig = copy.sign(view(msg));
+    EXPECT_EQ(sig.key_index, 0u);
+    EXPECT_EQ(sig.serialize(), fresh.sign(view(msg)).serialize());
+    EXPECT_EQ(copy.signatures_issued(), 1u);
+    EXPECT_EQ(prototype.signatures_issued(), 0u);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Puzzle
 // ---------------------------------------------------------------------------

@@ -388,6 +388,59 @@ TEST(LrScheme, ReencodedPacketsMatchBaseStation) {
   }
 }
 
+// Straggler checks read each packet hash from where it was authenticated
+// (M0 for page 1, the previous page's decoded tail otherwise); on a
+// receiver that decoded the chain and on a clone of the base station they
+// must accept exactly the source's packets at their own positions.
+TEST(LrScheme, StoredPacketChecksUseDecodedHashes) {
+  LrFixture f;
+  pump_all(*f.src, *f.dst, f.m);
+  ASSERT_TRUE(f.dst->image_complete());
+  const std::unique_ptr<SchemeState> clone = f.src->clone_source();
+  ASSERT_NE(clone, nullptr);
+
+  const std::uint32_t g = f.src->num_pages() - 1;
+  ASSERT_GE(g, 3u);
+  for (const SchemeState* node : {f.dst.get(), clone.get()}) {
+    sim::NodeMetrics m;
+    for (const std::uint32_t p : {0u, 1u, g / 2, g}) {
+      const auto count = static_cast<std::uint32_t>(f.src->packets_in_page(p));
+      for (std::uint32_t j = 0; j < count; ++j) {
+        const Bytes payload = f.src->packet_payload(p, j).value();
+        EXPECT_TRUE(node->verify_stored_packet(p, j, view(payload), m))
+            << "page " << p << " idx " << j;
+        Bytes flipped = payload;
+        flipped[j % flipped.size()] ^= 0x01;
+        EXPECT_FALSE(node->verify_stored_packet(p, j, view(flipped), m))
+            << "page " << p << " idx " << j;
+        EXPECT_FALSE(
+            node->verify_stored_packet(p, (j + 1) % count, view(payload), m))
+            << "page " << p << " idx " << j;
+      }
+    }
+    const Bytes last = f.src->packet_payload(g, 0).value();
+    for (std::uint32_t p = node->pages_complete(); p < g + 3; ++p) {
+      EXPECT_FALSE(node->verify_stored_packet(p, 0, view(last), m)) << p;
+    }
+  }
+
+  // A receiver partway through the chain only vouches for the pages it
+  // has decoded.
+  auto partial = make_lr_receiver(f.params, f.signer.root_public_key());
+  sim::NodeMetrics m;
+  ASSERT_TRUE(partial->on_signature(view(*f.src->signature_frame()), m));
+  for (std::uint32_t p = 0; p < 3; ++p) {
+    for (std::uint32_t j = 0; partial->pages_complete() == p; ++j) {
+      partial->on_data(p, j, view(f.src->packet_payload(p, j).value()), m);
+    }
+  }
+  for (std::uint32_t p = 0; p <= g; ++p) {
+    const Bytes payload = f.src->packet_payload(p, 0).value();
+    EXPECT_EQ(partial->verify_stored_packet(p, 0, view(payload), m), p < 3)
+        << "page " << p;
+  }
+}
+
 TEST(LrScheme, FuturePagePacketsAreStale) {
   LrFixture f;
   ASSERT_TRUE(f.dst->on_signature(view(*f.src->signature_frame()), f.m));
