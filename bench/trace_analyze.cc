@@ -432,25 +432,11 @@ int metrics_check(const std::string& path, const std::string& trace_path) {
     if (!scopes || !scopes->is(Json::Kind::kObject)) {
       mc.fail("timing.scopes missing");
     } else if (counters) {
-      // A deterministic timer's call count is mirrored into the
-      // deterministic section as "<name>.calls" and the two sections must
-      // agree; a deterministic=false scope (beneath a schedule-dependent
-      // cache) must NOT leak its calls into the deterministic section.
+      // Every timer's call count is mirrored into the deterministic
+      // section as "<name>.calls", and the two sections must agree.
       for (const auto& [name, s] : scopes->object) {
         const Json* calls = s.find("calls");
-        const Json* det_flag = s.find("deterministic");
-        if (!det_flag || !det_flag->is(Json::Kind::kBool)) {
-          mc.fail("scope " + name + ": \"deterministic\" flag missing");
-          continue;
-        }
         const Json* mirrored = counters->find(name + ".calls");
-        if (!det_flag->boolean) {
-          if (mirrored) {
-            mc.fail("scope " + name +
-                    ": nondeterministic but mirrored into counters");
-          }
-          continue;
-        }
         if (!calls || !calls->as_u64() || !mirrored || !mirrored->as_u64()) {
           mc.fail("scope " + name + ": calls not mirrored into counters");
           continue;

@@ -122,11 +122,6 @@ class LrSelugeState final : public proto::SchemeState {
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                     ByteView payload, sim::NodeMetrics& m) override {
-    return on_data(page, index, payload, m, nullptr);
-  }
-
-  DataStatus on_data(std::uint32_t page, std::uint32_t index,
                      ByteView payload, sim::NodeMetrics& m,
                      proto::RxDigestMemo* dig) override {
     if (!meta_) return DataStatus::kStale;  // cannot authenticate yet
@@ -179,12 +174,6 @@ class LrSelugeState final : public proto::SchemeState {
   // --- signature --------------------------------------------------------------
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                            ByteView payload,
-                            sim::NodeMetrics& m) const override {
-    return verify_stored_packet(page, index, payload, m, nullptr);
-  }
-
-  bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
                             ByteView payload, sim::NodeMetrics& m,
                             proto::RxDigestMemo* dig) const override {
     if (!meta_ || page >= complete_pages_ || index >= packets_in_page(page))
@@ -215,28 +204,12 @@ class LrSelugeState final : public proto::SchemeState {
   bool needs_signature() const override { return true; }
   bool bootstrapped() const override { return meta_.has_value(); }
 
-  bool on_signature(ByteView frame, sim::NodeMetrics& m) override {
+  bool on_signature(ByteView frame, sim::NodeMetrics& m,
+                    proto::SignatureMemo* memo) override {
     if (meta_) return false;
-    auto packet = proto::SignaturePacket::parse(frame);
-    if (!packet || packet->meta.version != params_.version) {
-      m.auth_failures += 1;
-      return false;
-    }
-    const Bytes msg = packet->signed_message();
-    // Enforce the preloaded puzzle strength: the packet's own strength
-    // field is attacker-controlled and must not weaken the gate.
-    if (packet->puzzle.strength < params_.puzzle_strength ||
-        !crypto::verify_puzzle(view(msg), packet->puzzle)) {
-      m.puzzle_rejections += 1;
-      return false;
-    }
-    auto cert =
-        crypto::CertifiedSignature::deserialize(view(packet->signature));
-    m.signature_verifications += 1;
-    if (!cert || !crypto::verify_certified_cached(root_pk_, view(msg), *cert)) {
-      m.auth_failures += 1;
-      return false;
-    }
+    const auto packet =
+        proto::check_signature(frame, params_, root_pk_, m, memo);
+    if (!packet) return false;
     adopt_meta(packet->meta, packet->root);
     signature_frame_ = Bytes(frame.begin(), frame.end());
     return true;

@@ -85,13 +85,8 @@ Sha256 Sha256::resume(const Sha256Midstate& m) {
 }
 
 Sha256Digest Sha256::hash(ByteView data) {
-  // deterministic=false: the signature-verification memo in wots.cc
-  // absorbs a scheduling-dependent share of these calls, so the count is
-  // not byte-identical across LRS_JOBS worker counts.
   static stats::Timer& timer =
-      stats::Registry::instance().timer("crypto.sha.oneshot",
-                                        /*top_level=*/false,
-                                        /*deterministic=*/false);
+      stats::Registry::instance().timer("crypto.sha.oneshot");
   stats::TimerScope scope(timer);
   Sha256 ctx;
   ctx.update(data);

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "crypto/hmac.h"
 #include "crypto/sha256_kernels.h"
@@ -25,14 +23,18 @@ using Chain = std::array<std::uint8_t, kWotsChainBytes>;
 /// 64-byte block (value, 0x80, zeros, 256-bit length), so each round is one
 /// compression per live chain from the initial state — batched through the
 /// multi-buffer kernel when one is active, else the single-stream kernel.
-/// Digests equal Sha256::hash of the value, step for step.
+/// Digests equal Sha256::hash of the value, step for step. Every walk —
+/// key generation, signing, verification — adds its steps to the
+/// deterministic counter crypto.wots.chain_steps.
 void walk_chains(std::array<Chain, kWotsLen>& v,
                  const std::array<unsigned, kWotsLen>& steps) {
-  // deterministic=false: verification runs beneath the signature memo
-  // (verify_certified_cached), so the call count depends on scheduling.
-  static stats::Timer& timer = stats::Registry::instance().timer(
-      "crypto.wots.chain", /*top_level=*/false, /*deterministic=*/false);
+  static stats::Timer& timer =
+      stats::Registry::instance().timer("crypto.wots.chain");
+  static stats::Counter& steps_counter =
+      stats::Registry::instance().counter("crypto.wots.chain_steps");
   stats::TimerScope scope(timer);
+  steps_counter.add(
+      std::accumulate(steps.begin(), steps.end(), std::uint64_t{0}));
 
   constexpr std::uint64_t kBitLen = kWotsChainBytes * 8;
   std::array<std::array<std::uint8_t, 64>, kWotsLen> blocks{};
@@ -77,15 +79,6 @@ void walk_chains(std::array<Chain, kWotsLen>& v,
   }
   for (std::size_t i = 0; i < kWotsLen; ++i)
     std::copy_n(blocks[i].begin(), kWotsChainBytes, v[i].begin());
-}
-
-/// Chain steps walked by key generation and signing. Verification steps are
-/// left out: they sit beneath the signature memo, and this counter belongs
-/// to the deterministic export.
-stats::Counter& chain_steps_counter() {
-  static stats::Counter& c =
-      stats::Registry::instance().counter("crypto.wots.chain_steps");
-  return c;
 }
 
 /// Message digest -> len1 byte chunks + len2 checksum chunks, all in [0,255].
@@ -144,7 +137,6 @@ WotsKeyPair WotsKeyPair::generate(ByteView seed, std::uint64_t index) {
   std::array<unsigned, kWotsLen> steps;
   steps.fill(255);
   walk_chains(tops, steps);
-  chain_steps_counter().add(kWotsLen * 255);
   kp.pk_ = compress_tops(tops);
   return kp;
 }
@@ -156,8 +148,6 @@ WotsSignature WotsKeyPair::sign(ByteView message) {
   WotsSignature sig;
   sig.chains = sk_;
   walk_chains(sig.chains, chunks);
-  chain_steps_counter().add(
-      std::accumulate(chunks.begin(), chunks.end(), std::uint64_t{0}));
   return sig;
 }
 
@@ -244,48 +234,6 @@ bool MultiKeySigner::verify(const PacketHash& root_public_key,
   if (!equal(root, root_public_key)) return false;
   // 2. The WOTS signature must verify under that key.
   return WotsKeyPair::verify(sig.wots_pk, message, sig.sig);
-}
-
-bool verify_certified_cached(const PacketHash& root_public_key,
-                             ByteView message, const CertifiedSignature& sig) {
-  // Collision-resistant fingerprint of the full (root, message, signature)
-  // triple: two distinct verification questions cannot share a key.
-  Sha256 h;
-  h.update(ByteView(root_public_key.data(), root_public_key.size()));
-  Writer w;
-  w.u64(message.size());
-  w.u32(sig.key_index);
-  w.u8(static_cast<std::uint8_t>(sig.cert_path.size()));
-  h.update(view(w.data()));
-  h.update(message);
-  h.update(ByteView(sig.wots_pk.data(), sig.wots_pk.size()));
-  for (const auto& p : sig.cert_path) h.update(ByteView(p.data(), p.size()));
-  for (const auto& c : sig.sig.chains) h.update(ByteView(c.data(), c.size()));
-  const Sha256Digest key = h.finalize();
-
-  struct DigestHash {
-    std::size_t operator()(const Sha256Digest& d) const {
-      std::size_t v;
-      std::memcpy(&v, d.data(), sizeof(v));
-      return v;
-    }
-  };
-  static std::mutex mu;
-  static std::unordered_map<Sha256Digest, bool, DigestHash> cache;
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    auto it = cache.find(key);
-    if (it != cache.end()) return it->second;
-  }
-  const bool ok = MultiKeySigner::verify(root_public_key, message, sig);
-  {
-    std::lock_guard<std::mutex> lock(mu);
-    // A run only ever sees a handful of distinct signature packets; the cap
-    // is a leak guard for adversarial floods of forged signatures.
-    if (cache.size() >= 4096) cache.clear();
-    cache.emplace(key, ok);
-  }
-  return ok;
 }
 
 }  // namespace lrs::crypto

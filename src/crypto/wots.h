@@ -98,6 +98,9 @@ class MultiKeySigner {
   /// capacity is exhausted.
   CertifiedSignature sign(ByteView message);
 
+  /// Certificate path to the root, then the WOTS chains (~2,000 hashes).
+  /// Pure in its arguments, so a receiver population checking one
+  /// signature packet memoizes the verdict per run (proto::SignatureMemo).
   static bool verify(const PacketHash& root_public_key, ByteView message,
                      const CertifiedSignature& sig);
 
@@ -106,16 +109,5 @@ class MultiKeySigner {
   MerkleTree tree_;
   std::size_t next_ = 0;
 };
-
-/// Memoized MultiKeySigner::verify. The verdict is a pure function of
-/// (root_public_key, message, signature), and in a broadcast network
-/// thousands of receivers verify the *same* signature packet, so a
-/// process-wide cache keyed by a digest of the triple turns the ~2000-hash
-/// WOTS chain walk into one short hash plus a lookup after the first
-/// receiver. Thread-safe. Callers still count one signature verification
-/// per protocol-level check; only the redundant chain recomputation is
-/// elided, never the decision.
-bool verify_certified_cached(const PacketHash& root_public_key,
-                             ByteView message, const CertifiedSignature& sig);
 
 }  // namespace lrs::crypto

@@ -110,8 +110,8 @@ void FleetEngine::prepare() {
   }
 }
 
-CellResult FleetEngine::run_cell(const Tenant& tenant,
-                                 std::size_t cell) const {
+CellResult FleetEngine::run_cell(const Tenant& tenant, std::size_t cell,
+                                 const proto::SignatureMemo& verdicts) const {
   // Top-level scope: one fleet cell end to end. Cells run concurrently, so
   // accumulated scope time is CPU-time-like under LRS_JOBS > 1.
   static stats::Timer& cell_timer = stats::Registry::instance().timer(
@@ -134,6 +134,7 @@ CellResult FleetEngine::run_cell(const Tenant& tenant,
   // One receive-side verification memo per cell (cells are single-threaded
   // simulations; the memo never crosses cells).
   auto rx_memo = std::make_unique<proto::RxFanoutMemo>();
+  rx_memo->signatures = verdicts;
   proto::EngineConfig engine;
   engine.timing = spec.timing;
   engine.leap_snack_auth = spec.params.leap_snack_auth;
@@ -200,10 +201,20 @@ FleetReport FleetEngine::run(std::size_t jobs) {
     }
   }
 
+  // Every cell of a tenant checks the one master signature frame: verify
+  // it once per tenant, serially in tenant order, and seed each cell's
+  // memo with the verdict, so the work charged is the same for any `jobs`.
+  std::vector<proto::SignatureMemo> verdicts(tenants_.size());
+  for (std::size_t ti = 0; ti < tenants_.size(); ++ti) {
+    const Tenant& t = tenants_[ti];
+    verdicts[ti].certified(t.root_pk, view(*t.master->signature_frame()));
+  }
+
   std::vector<CellResult> results(items.size());
   const std::size_t steals =
       core::parallel_for_ws(items.size(), jobs, [&](std::size_t i) {
-        results[i] = run_cell(tenants_[items[i].tenant], items[i].cell);
+        const std::size_t ti = items[i].tenant;
+        results[i] = run_cell(tenants_[ti], items[i].cell, verdicts[ti]);
       });
 
   FleetReport report;

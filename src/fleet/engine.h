@@ -133,7 +133,10 @@ class FleetEngine {
     Bytes payload;     // what cells disseminate: image or delta blob
   };
 
-  CellResult run_cell(const Tenant& tenant, std::size_t cell) const;
+  /// `verdicts` holds the tenant's verified master signature frame; the
+  /// cell's receive memo starts from it.
+  CellResult run_cell(const Tenant& tenant, std::size_t cell,
+                      const proto::SignatureMemo& verdicts) const;
 
   std::vector<Tenant> tenants_;
 };

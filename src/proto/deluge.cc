@@ -87,7 +87,8 @@ class DelugeState final : public SchemeState {
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                     ByteView payload, sim::NodeMetrics&) override {
+                     ByteView payload, sim::NodeMetrics&,
+                     RxDigestMemo*) override {
     if (page != complete_pages_ || page >= pages_.size()) {
       return DataStatus::kStale;
     }
@@ -107,8 +108,8 @@ class DelugeState final : public SchemeState {
   }
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                            ByteView payload,
-                            sim::NodeMetrics&) const override {
+                            ByteView payload, sim::NodeMetrics&,
+                            RxDigestMemo*) const override {
     // Deluge has no packet authentication; only shape is checked.
     return page < complete_pages_ && index < params_.k &&
            payload.size() == params_.payload_size;
@@ -116,7 +117,9 @@ class DelugeState final : public SchemeState {
 
   bool needs_signature() const override { return false; }
   bool bootstrapped() const override { return true; }
-  bool on_signature(ByteView, sim::NodeMetrics&) override { return false; }
+  bool on_signature(ByteView, sim::NodeMetrics&, SignatureMemo*) override {
+    return false;
+  }
   std::optional<Bytes> signature_frame() const override {
     return std::nullopt;
   }

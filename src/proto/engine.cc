@@ -747,6 +747,7 @@ void DissemNode::maybe_broadcast_signature() {
 }
 
 void DissemNode::handle_signature_frame(ByteView frame) {
+  SignatureMemo* memo = rx_memo_ ? &rx_memo_->signatures : nullptr;
   // Upgrade path: a signature packet for a newer version replaces the
   // whole image state — but only after it verifies on a candidate built
   // from the preloaded key material. Old/equal versions never displace
@@ -755,14 +756,14 @@ void DissemNode::handle_signature_frame(ByteView frame) {
     const auto packet = SignaturePacket::parse(frame);
     if (packet && packet->meta.version > version_) {
       auto candidate = cfg_.scheme_factory(packet->meta.version);
-      if (candidate && candidate->on_signature(frame, env().metrics())) {
+      if (candidate && candidate->on_signature(frame, env().metrics(), memo)) {
         adopt_scheme(std::move(candidate));
       }
       return;
     }
   }
   if (!scheme_->needs_signature() || bootstrapped_) return;
-  if (scheme_->on_signature(frame, env().metrics())) {
+  if (scheme_->on_signature(frame, env().metrics(), memo)) {
     sig_requests_unanswered_ = 0;
     refresh_scheme_view();
     trickle_restart();

@@ -60,6 +60,10 @@ struct RxFanoutMemo {
   // drop the packet as a duplicate never do).
   std::uint64_t digest_serial = 0;
   RxDigestMemo digest{};
+
+  // Signature-certificate verdicts, keyed by frame bytes rather than by
+  // delivery serial: every receiver of the run checks the same frame.
+  SignatureMemo signatures;
 };
 
 class DissemNode : public sim::Node {

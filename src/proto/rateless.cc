@@ -149,7 +149,8 @@ class RatelessState final : public SchemeState {
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                     ByteView payload, sim::NodeMetrics& m) override {
+                     ByteView payload, sim::NodeMetrics& m,
+                     RxDigestMemo*) override {
     if (page != complete_pages_ || page >= pages_.size()) {
       return DataStatus::kStale;
     }
@@ -176,15 +177,17 @@ class RatelessState final : public SchemeState {
   }
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                            ByteView payload,
-                            sim::NodeMetrics&) const override {
+                            ByteView payload, sim::NodeMetrics&,
+                            RxDigestMemo*) const override {
     return page < complete_pages_ && index < window() &&
            payload.size() == params_.payload_size;
   }
 
   bool needs_signature() const override { return false; }
   bool bootstrapped() const override { return true; }
-  bool on_signature(ByteView, sim::NodeMetrics&) override { return false; }
+  bool on_signature(ByteView, sim::NodeMetrics&, SignatureMemo*) override {
+    return false;
+  }
   std::optional<Bytes> signature_frame() const override {
     return std::nullopt;
   }

@@ -10,8 +10,12 @@
 
 #include <memory>
 #include <optional>
+#include <string>
+#include <unordered_map>
 
 #include "crypto/hash.h"
+#include "proto/packet.h"
+#include "proto/params.h"
 #include "proto/scheduler.h"
 #include "sim/metrics.h"
 #include "util/bitvec.h"
@@ -38,6 +42,37 @@ struct RxDigestMemo {
   bool valid = false;
   crypto::PacketHash digest{};
 };
+
+/// Certificate verdicts (Merkle path to the preloaded root key, then WOTS)
+/// for the signature frames one run has checked. The verdict is a pure
+/// function of the receiver's root key and the exact frame bytes, and every
+/// receiver of a dissemination checks the same frame, so only the first
+/// walks the ~2,000-hash WOTS chains. One per simulator (RxFanoutMemo),
+/// never shared across threads, so the work a run charges does not depend
+/// on what ran before it in the process.
+class SignatureMemo {
+ public:
+  /// MultiKeySigner::verify of the signature frame `frame` under `root_pk`,
+  /// computed the first time this (root_pk, frame) pair is asked.
+  bool certified(const crypto::PacketHash& root_pk, ByteView frame);
+
+ private:
+  // A run sees a handful of distinct frames; the cap guards against floods
+  // of distinct forged frames that solve the puzzle.
+  static constexpr std::size_t kCapacity = 4096;
+  std::unordered_map<std::string, bool> verdicts_;
+};
+
+/// The signature-packet check every secure scheme runs: parse, version,
+/// the message-specific puzzle at the preloaded strength (one hash gates
+/// the expensive check), then the certificate under `root_pk`, through
+/// `memo` when one is given. Charges `m` per receiver (auth_failures,
+/// puzzle_rejections, signature_verifications) whether or not the memo
+/// answers. Returns the packet when it verified.
+std::optional<SignaturePacket> check_signature(
+    ByteView frame, const CommonParams& params,
+    const crypto::PacketHash& root_pk, sim::NodeMetrics& m,
+    SignatureMemo* memo);
 
 class SchemeState {
  public:
@@ -86,46 +121,34 @@ class SchemeState {
 
   /// Authenticates and stores a received data packet. `m` is charged for
   /// verification work. Only packets of page pages_complete() make
-  /// progress; others are kStale.
-  virtual DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                             ByteView payload, sim::NodeMetrics& m) = 0;
-
-  /// Memo-aware overload: `digest` (nullable) caches the packet-content
-  /// digest across the receivers of one broadcast delivery. Schemes whose
-  /// authentication is a per-packet content hash override this to reuse
-  /// the digest; the default ignores the memo.
+  /// progress; others are kStale. `digest` (nullable) caches the
+  /// packet-content digest across the receivers of one broadcast delivery;
+  /// schemes whose authentication is not a per-packet content hash ignore
+  /// it.
   virtual DataStatus on_data(std::uint32_t page, std::uint32_t index,
                              ByteView payload, sim::NodeMetrics& m,
-                             RxDigestMemo* digest) {
-    (void)digest;
-    return on_data(page, index, payload, m);
-  }
+                             RxDigestMemo* digest = nullptr) = 0;
 
   /// Checks whether a packet of an ALREADY-COMPLETE page is authentic
   /// (one hash against the stored hash chain). The engine uses this to
   /// distinguish genuine straggler service (worth holding our own request
   /// back for, to keep the neighborhood in lockstep) from forged traffic,
   /// which must never delay us. Returns false for pages not yet complete.
-  virtual bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                                    ByteView payload,
-                                    sim::NodeMetrics& m) const = 0;
-
-  /// Memo-aware overload of verify_stored_packet (see on_data above).
+  /// `digest` as in on_data.
   virtual bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
                                     ByteView payload, sim::NodeMetrics& m,
-                                    RxDigestMemo* digest) const {
-    (void)digest;
-    return verify_stored_packet(page, index, payload, m);
-  }
+                                    RxDigestMemo* digest = nullptr) const = 0;
 
   // --- bootstrap (signature packet) ----------------------------------------
   /// Whether data packets are useless until a signature packet verified.
   virtual bool needs_signature() const = 0;
   /// Root known (vacuously true for schemes without signatures).
   virtual bool bootstrapped() const = 0;
-  /// Processes a received signature frame. Returns true when it verified
-  /// and the node became bootstrapped.
-  virtual bool on_signature(ByteView frame, sim::NodeMetrics& m) = 0;
+  /// Processes a received signature frame (check_signature, with `memo`
+  /// when the engine wires one). Returns true when it verified and the
+  /// node became bootstrapped.
+  virtual bool on_signature(ByteView frame, sim::NodeMetrics& m,
+                            SignatureMemo* memo = nullptr) = 0;
   /// Serialized signature frame for (re)broadcast; nullopt if the scheme
   /// has none or this node is not bootstrapped with a stored copy.
   virtual std::optional<Bytes> signature_frame() const = 0;

@@ -83,7 +83,8 @@ class SluiceState final : public SchemeState {
   }
 
   DataStatus on_data(std::uint32_t page, std::uint32_t index,
-                     ByteView payload, sim::NodeMetrics& m) override {
+                     ByteView payload, sim::NodeMetrics& m,
+                     RxDigestMemo*) override {
     if (!meta_) return DataStatus::kStale;
     if (page != complete_pages_ || page >= meta_->content_pages) {
       return DataStatus::kStale;
@@ -121,8 +122,8 @@ class SluiceState final : public SchemeState {
   }
 
   bool verify_stored_packet(std::uint32_t page, std::uint32_t index,
-                            ByteView payload,
-                            sim::NodeMetrics&) const override {
+                            ByteView payload, sim::NodeMetrics&,
+                            RxDigestMemo*) const override {
     // A completed page's packets can be checked by byte comparison.
     if (!meta_ || page >= complete_pages_ || index >= params_.k) return false;
     const auto& slot = pages_[page][index];
@@ -136,26 +137,11 @@ class SluiceState final : public SchemeState {
   bool needs_signature() const override { return true; }
   bool bootstrapped() const override { return meta_.has_value(); }
 
-  bool on_signature(ByteView frame, sim::NodeMetrics& m) override {
+  bool on_signature(ByteView frame, sim::NodeMetrics& m,
+                    SignatureMemo* memo) override {
     if (meta_) return false;
-    auto packet = SignaturePacket::parse(frame);
-    if (!packet || packet->meta.version != params_.version) {
-      m.auth_failures += 1;
-      return false;
-    }
-    const Bytes msg = packet->signed_message();
-    if (packet->puzzle.strength < params_.puzzle_strength ||
-        !crypto::verify_puzzle(view(msg), packet->puzzle)) {
-      m.puzzle_rejections += 1;
-      return false;
-    }
-    auto cert =
-        crypto::CertifiedSignature::deserialize(view(packet->signature));
-    m.signature_verifications += 1;
-    if (!cert || !crypto::verify_certified_cached(root_pk_, view(msg), *cert)) {
-      m.auth_failures += 1;
-      return false;
-    }
+    const auto packet = check_signature(frame, params_, root_pk_, m, memo);
+    if (!packet) return false;
     adopt_meta(packet->meta, packet->root);
     signature_frame_ = Bytes(frame.begin(), frame.end());
     return true;

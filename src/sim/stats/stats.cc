@@ -115,7 +115,6 @@ struct Registry::Impl {
   struct TimerSlot {
     std::unique_ptr<Timer> timer = std::make_unique<Timer>();
     bool top_level = false;
-    bool deterministic = true;
   };
   std::map<std::string, TimerSlot, std::less<>> timers;
 };
@@ -164,15 +163,13 @@ Histogram& Registry::histogram(std::string_view name) {
   return *it->second;
 }
 
-Timer& Registry::timer(std::string_view name, bool top_level,
-                       bool deterministic) {
+Timer& Registry::timer(std::string_view name, bool top_level) {
   Impl& im = impl();
   std::lock_guard<std::mutex> lock(im.mu);
   auto it = im.timers.find(name);
   if (it == im.timers.end()) {
     it = im.timers.emplace(std::string(name), Impl::TimerSlot{}).first;
     it->second.top_level = top_level;
-    it->second.deterministic = deterministic;
   }
   return *it->second.timer;
 }
@@ -196,12 +193,11 @@ std::string Registry::deterministic_json(const std::string& indent) const {
   const std::string in3 = in2 + "  ";
 
   // Counters and timer call counts share one sorted namespace: the timer
-  // "x.y" contributes the deterministic counter "x.y.calls" — unless it
-  // was registered deterministic=false (its calls stay timing-only).
+  // "x.y" contributes the deterministic counter "x.y.calls".
   std::map<std::string, std::uint64_t> flat;
   for (const auto& [name, c] : im.counters) flat[name] = c->value();
   for (const auto& [name, t] : im.timers) {
-    if (t.deterministic) flat[name + ".calls"] = t.timer->calls();
+    flat[name + ".calls"] = t.timer->calls();
   }
 
   out << "{\n" << in1 << "\"counters\": {";
@@ -277,8 +273,6 @@ std::string Registry::timing_json(const std::string& indent) const {
     out << in3 << "\"calls\": " << t.timer->calls() << ",\n";
     out << in3 << "\"ns\": " << to_ns(t.timer->cycles()) << ",\n";
     out << in3 << "\"top_level\": " << (t.top_level ? "true" : "false")
-        << ",\n";
-    out << in3 << "\"deterministic\": " << (t.deterministic ? "true" : "false")
         << "\n" << in2 << "}";
     first = false;
   }

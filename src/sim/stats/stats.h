@@ -9,13 +9,13 @@
 //   * Enabled, the hot path is allocation-free: metrics live in
 //     registry-owned fixed-size slots created on first use
 //     (tests/test_alloc_guard.cc guards both properties).
-//   * Deterministic quantities (counters, histogram contents, timer call
-//     counts) are commutative aggregates of per-trial work, so their JSON
-//     export is byte-identical for any LRS_JOBS worker count. Timing
+//   * Deterministic quantities (counters, histogram contents, every timer's
+//     call count) are commutative aggregates of per-trial work, so their
+//     JSON export is byte-identical for any LRS_JOBS worker count. Timing
 //     quantities (cycle totals, gauges, wall clock) are nondeterministic
-//     and live in a strictly separate "timing" section of the export.
-//     A timer registered deterministic=false opts its call count out of
-//     that guarantee (its scope sits beneath a schedule-dependent cache).
+//     and live in a strictly separate "timing" section of the export. No
+//     scope may sit beneath a process-wide cache whose hits depend on what
+//     ran first: memoize per run instead (proto::RxFanoutMemo).
 //
 // Naming: dot-separated "<subsystem>.<unit>[.<detail>]", e.g.
 // "sim.queue.schedule", "crypto.sha.batch", "erasure.lrc.local_repairs",
@@ -226,14 +226,10 @@ class Registry {
   Gauge& gauge(std::string_view name);
   Histogram& histogram(std::string_view name);
   /// `top_level` marks a scope whose time counts toward the export's
-  /// attributed_ns (top-level scopes must not nest). `deterministic=false`
-  /// keeps the timer's call count out of the deterministic section: use it
-  /// for scopes beneath schedule-dependent caches (e.g. the signature
-  /// verification memo in crypto/wots.cc absorbs a worker-interleaving-
-  /// dependent share of Sha256::hash calls). Both flags stick from the
-  /// first registration.
-  Timer& timer(std::string_view name, bool top_level = false,
-               bool deterministic = true);
+  /// attributed_ns (top-level scopes must not nest); it sticks from the
+  /// first registration. The call count is exported in the deterministic
+  /// section as "<name>.calls".
+  Timer& timer(std::string_view name, bool top_level = false);
 
   /// Zeroes every registered metric and re-anchors the cycle calibration;
   /// registrations (names, addresses) survive.
@@ -276,9 +272,8 @@ class Scope {
   Histogram& histogram(std::string_view name) const {
     return Registry::instance().histogram(full(name));
   }
-  Timer& timer(std::string_view name, bool top_level = false,
-               bool deterministic = true) const {
-    return Registry::instance().timer(full(name), top_level, deterministic);
+  Timer& timer(std::string_view name, bool top_level = false) const {
+    return Registry::instance().timer(full(name), top_level);
   }
 
   /// Nested scope: Scope("fleet").sub("t03") == Scope("fleet.t03").

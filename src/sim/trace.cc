@@ -76,11 +76,6 @@ std::optional<std::string> json_str(std::string_view line,
   return std::string(line.substr(start, end - start));
 }
 
-std::optional<PacketClass> packet_class_from_byte(std::uint8_t c) {
-  if (c >= kPacketClassCount) return std::nullopt;
-  return static_cast<PacketClass>(c);
-}
-
 const char* data_status_name(std::uint8_t s) {
   // Mirrors proto::DataStatus (sim cannot include proto; the numeric
   // contract is pinned by tests/test_trace.cc).

@@ -214,10 +214,10 @@ TEST(Wots, SignatureSerializationRoundTrip) {
   EXPECT_TRUE(WotsKeyPair::verify(kp.public_key(), view(msg), *back));
 }
 
-TEST(Wots, ChainStepCounterCountsKeygenAndSigning) {
-  // crypto.wots.chain_steps: 255 steps per chain to generate a key, then
-  // one step per message/checksum digit to sign. Verification is not
-  // counted (it runs beneath the schedule-dependent signature memo).
+TEST(Wots, ChainStepCounterCountsEveryWalk) {
+  // crypto.wots.chain_steps: 255 steps per chain to generate a key, one
+  // step per message/checksum digit to sign, and the remaining 255 - digit
+  // steps per chain to verify.
   stats::set_enabled(true);
   stats::Counter& steps =
       stats::Registry::instance().counter("crypto.wots.chain_steps");
@@ -228,16 +228,21 @@ TEST(Wots, ChainStepCounterCountsKeygenAndSigning) {
   const Bytes msg = str_bytes("chunked");
   const Sha256Digest d = Sha256::hash(view(msg));
   std::uint64_t digits = 0;
+  std::uint64_t remaining = 0;
   unsigned checksum = 0;
   for (std::size_t i = 0; i < kWotsLen1; ++i) {
     digits += d[i];
+    remaining += 255 - d[i];
     checksum += 255 - d[i];
   }
-  digits += (checksum >> 8) + (checksum & 0xff);
+  for (const unsigned digit : {(checksum >> 8) & 0xff, checksum & 0xff}) {
+    digits += digit;
+    remaining += 255 - digit;
+  }
   const auto sig = kp.sign(view(msg));
   EXPECT_EQ(steps.value(), before + kWotsLen * 255 + digits);
   EXPECT_TRUE(WotsKeyPair::verify(kp.public_key(), view(msg), sig));
-  EXPECT_EQ(steps.value(), before + kWotsLen * 255 + digits);
+  EXPECT_EQ(steps.value(), before + kWotsLen * 255 + digits + remaining);
   stats::set_enabled(false);
 }
 

@@ -17,6 +17,7 @@
 #include "proto/engine.h"
 #include "proto/packet.h"
 #include "sim/simulator.h"
+#include "sim/stats/stats.h"
 
 namespace lrs {
 namespace {
@@ -407,13 +408,25 @@ std::string deterministic_key(const fleet::TenantResult& t) {
 }
 
 TEST(FleetEngine, SerialAndParallelRunsAreByteIdentical) {
+  stats::set_enabled(true);
+  stats::Registry& reg = stats::Registry::instance();
+  const stats::Timer& walks = reg.timer("crypto.wots.chain");
+
   fleet::FleetEngine serial = make_small_fleet();
   serial.prepare();
+  reg.reset_values();
   const fleet::FleetReport a = serial.run(1);
+  const std::string a_json = reg.deterministic_json("  ");
+  // One signature verification per tenant per run, whatever the cells.
+  EXPECT_EQ(walks.calls(), serial.tenant_count());
 
   fleet::FleetEngine parallel = make_small_fleet();
   parallel.prepare();
+  reg.reset_values();
   const fleet::FleetReport b = parallel.run(8);
+  EXPECT_EQ(reg.deterministic_json("  "), a_json);
+  EXPECT_EQ(walks.calls(), parallel.tenant_count());
+  stats::set_enabled(false);
 
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
   for (std::size_t t = 0; t < a.tenants.size(); ++t) {

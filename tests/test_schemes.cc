@@ -13,6 +13,7 @@
 #include "proto/packet.h"
 #include "proto/scheme.h"
 #include "proto/seluge.h"
+#include "sim/stats/stats.h"
 #include "util/rng.h"
 
 namespace lrs {
@@ -487,6 +488,50 @@ TEST(LrScheme, RejectsGeometryWhereHashesDontFit) {
   p.k = 2;
   p.n = 12;  // 12 * 8 = 96 hash bytes > 2 * 32 page bytes
   EXPECT_THROW(core::validate_lr_params(p), std::logic_error);
+}
+
+// ---------------------------------------------------------------------------
+// Signature-verdict memo
+// ---------------------------------------------------------------------------
+
+TEST(SignatureMemo, VerdictKeyedByRootAndFrame) {
+  stats::set_enabled(true);
+  const stats::Timer& walks =
+      stats::Registry::instance().timer("crypto.wots.chain");
+  const CommonParams params = small_params();
+  crypto::MultiKeySigner a(view(kSeed), 1);
+  crypto::MultiKeySigner b(view(Bytes{0xcc}), 1);
+  const auto src = make_lr_source(params, test_image(1500), a);
+  const Bytes frame = *src->signature_frame();
+
+  proto::SignatureMemo memo;
+  std::uint64_t before = walks.calls();
+  EXPECT_TRUE(memo.certified(a.root_public_key(), view(frame)));
+  EXPECT_EQ(walks.calls(), before + 1);
+  EXPECT_TRUE(memo.certified(a.root_public_key(), view(frame)));
+  EXPECT_EQ(walks.calls(), before + 1);  // answered by the memo
+
+  // Same frame, other root: the certificate path fails, whatever the memo
+  // holds for root A.
+  EXPECT_FALSE(memo.certified(b.root_public_key(), view(frame)));
+
+  // One bit flipped in the WOTS chains: a new key, re-verified, rejected.
+  Bytes flipped = frame;
+  flipped.back() ^= 0x01;
+  before = walks.calls();
+  EXPECT_FALSE(memo.certified(a.root_public_key(), view(flipped)));
+  EXPECT_EQ(walks.calls(), before + 1);
+  EXPECT_TRUE(memo.certified(a.root_public_key(), view(frame)));
+
+  // Receivers sharing the memo are still charged one verification each.
+  sim::NodeMetrics m;
+  auto rx_a = make_lr_receiver(params, a.root_public_key());
+  auto rx_b = make_lr_receiver(params, b.root_public_key());
+  EXPECT_TRUE(rx_a->on_signature(view(frame), m, &memo));
+  EXPECT_FALSE(rx_b->on_signature(view(frame), m, &memo));
+  EXPECT_EQ(m.signature_verifications, 2u);
+  EXPECT_EQ(m.auth_failures, 1u);
+  stats::set_enabled(false);
 }
 
 }  // namespace

@@ -287,16 +287,39 @@ TEST(StatsDeterminism, SerialAndParallelExportsAreByteIdentical) {
   const std::string parallel_json = reg.deterministic_json("  ");
 
   EXPECT_EQ(serial_json, parallel_json);
-  // The signature-verification memo (crypto/wots.cc) makes one-shot SHA
-  // call counts scheduling-dependent; that timer opts out of the
-  // deterministic section rather than breaking the byte-identity contract.
-  EXPECT_EQ(serial_json.find("crypto.sha.oneshot.calls"), std::string::npos);
+  // Signature verdicts are memoized per run, so even the verification
+  // work is part of the byte-identical section.
+  EXPECT_NE(serial_json.find("\"crypto.sha.oneshot.calls\""),
+            std::string::npos);
+  EXPECT_NE(serial_json.find("\"crypto.wots.chain.calls\""),
+            std::string::npos);
   ASSERT_EQ(serial.size(), parallel.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
     EXPECT_EQ(serial[i].events_executed, parallel[i].events_executed);
     EXPECT_EQ(serial[i].max_island_events, parallel[i].max_island_events);
     EXPECT_EQ(serial[i].islands, parallel[i].islands);
   }
+  stats::set_enabled(false);
+}
+
+TEST(StatsDeterminism, RepeatedRunChargesTheSameVerificationWork) {
+  // No process-wide cache: a run repeated in the same process verifies
+  // its signature packet again, so it charges the same crypto work.
+  stats::set_enabled(true);
+  Registry& reg = Registry::instance();
+  const Timer& sha = reg.timer("crypto.sha.oneshot");
+  const Timer& chain = reg.timer("crypto.wots.chain");
+  std::uint64_t sha_delta[2];
+  std::uint64_t chain_delta[2];
+  for (int run = 0; run < 2; ++run) {
+    const std::uint64_t sha0 = sha.calls();
+    const std::uint64_t chain0 = chain.calls();
+    core::run_experiment(small_star_config(5));
+    sha_delta[run] = sha.calls() - sha0;
+    chain_delta[run] = chain.calls() - chain0;
+  }
+  EXPECT_EQ(sha_delta[0], sha_delta[1]);
+  EXPECT_EQ(chain_delta[0], chain_delta[1]);
   stats::set_enabled(false);
 }
 
