@@ -10,29 +10,32 @@
 //    per event).
 //  - Closures are stored inline in the slot (EventFn, a fixed-capacity
 //    copyable closure), not in a std::function that spills to the heap.
-//  - Ordering uses a bucketed calendar: a wheel of kBuckets windows of
-//    kBucketWidth microseconds each, with a min-heap per bucket and a
-//    sorted overflow heap for events beyond the wheel's horizon. Schedule
-//    and pop are O(1) amortized for the timer/airtime event mix the radio
-//    model produces (sub-second deltas); far-future events (advertisement
-//    trains, crash schedules) ride the overflow heap and are swept into
-//    the wheel when the wheel drains and re-anchors.
+//  - Ordering uses a two-level hashed timing wheel (Varghese & Lauck).
+//    Level 0 is the current epoch (2^22 us, ~4.19 s) split into 4096
+//    buckets of 2^10 us, each a min-heap; it holds the radio model's
+//    backoff and airtime deltas. Level 1 is 64 one-epoch buckets covering
+//    the next ~268 s, each an intrusive list threaded through the slot
+//    slab; it holds Trickle and advertisement timers. When level 0 drains,
+//    the next occupied epoch cascades into it. Only events more than 64
+//    epochs ahead (crash schedules, time limits) wait in an overflow heap,
+//    which feeds level 1 as the horizon advances.
 //
 // Determinism: events fire in strictly increasing (time, seq) order, where
 // seq is the scheduling order — exactly the contract of the binary-heap
 // queue this replaces, so historical seeds replay byte-identically.
 //
-// Cancellation is cooperative and lazy: cancel() invalidates the slot
-// immediately (live counts update right away — pending() and empty() are
-// exact), but the stale reference stays in its bucket until the pop path
-// reaches and discards it. Consequently an event cancelled at any point
+// Cancellation updates live counts immediately (pending() and empty() are
+// exact). A level-1 event is unlinked from its list on the spot; a level-0
+// or overflow event leaves a stale reference in its heap until the pop path
+// reaches and discards it. Either way an event cancelled at any point
 // before it fires — including between a peek_time() that reported its time
 // and the run_next() that would have fired it — can never fire; run_next()
-// skips the stale entry and fires the next live event instead.
+// skips it and fires the next live event instead.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <optional>
 #include <type_traits>
@@ -47,7 +50,10 @@ namespace lrs::sim {
 /// Fixed-capacity inline closure for simulator events: copyable, movable,
 /// never heap-allocates. Capturing more than kCapacity bytes is a compile
 /// error — enlarge the capture-heaviest call site or the capacity, not the
-/// allocation count.
+/// allocation count. A capture that is trivially copyable and trivially
+/// destructible (pointers, ids, times: nearly every timer) is copied and
+/// moved as kCapacity raw bytes and needs no destructor call; other
+/// captures go through a per-type ops table.
 class EventFn {
  public:
   static constexpr std::size_t kCapacity = 64;
@@ -61,7 +67,8 @@ class EventFn {
     using Fn = std::decay_t<F>;
     static_assert(sizeof(Fn) <= kCapacity,
                   "event closure captures too much for inline storage");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t));
+    static_assert(alignof(Fn) <= kAlign,
+                  "event closure needs more than pointer alignment");
     new (storage_) Fn(std::forward<F>(f));
     ops_ = &OpsFor<Fn>::ops;
   }
@@ -86,7 +93,7 @@ class EventFn {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
+      if (ops_->destroy != nullptr) ops_->destroy(storage_);
       ops_ = nullptr;
     }
   }
@@ -99,6 +106,8 @@ class EventFn {
   }
 
  private:
+  /// copy/move/destroy are null for trivial captures: the storage bytes
+  /// are the whole object.
   struct Ops {
     void (*invoke)(void*);
     void (*copy)(void* dst, const void* src);
@@ -107,34 +116,52 @@ class EventFn {
   };
 
   template <typename Fn>
+  static void invoke_as(void* p) {
+    (*static_cast<Fn*>(p))();
+  }
+
+  template <typename Fn>
   struct OpsFor {
-    static constexpr Ops ops = {
-        [](void* p) { (*static_cast<Fn*>(p))(); },
-        [](void* dst, const void* src) {
-          new (dst) Fn(*static_cast<const Fn*>(src));
-        },
-        [](void* dst, void* src) {
-          new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-        },
-        [](void* p) { static_cast<Fn*>(p)->~Fn(); },
-    };
+    static constexpr bool kTrivial = std::is_trivially_copyable_v<Fn> &&
+                                     std::is_trivially_destructible_v<Fn>;
+    static constexpr Ops ops =
+        kTrivial ? Ops{&invoke_as<Fn>, nullptr, nullptr, nullptr}
+                 : Ops{
+                       &invoke_as<Fn>,
+                       [](void* dst, const void* src) {
+                         new (dst) Fn(*static_cast<const Fn*>(src));
+                       },
+                       [](void* dst, void* src) {
+                         new (dst) Fn(std::move(*static_cast<Fn*>(src)));
+                       },
+                       [](void* p) { static_cast<Fn*>(p)->~Fn(); },
+                   };
   };
 
   void copy_from(const EventFn& other) {
-    if (other.ops_ != nullptr) {
+    if (other.ops_ == nullptr) return;
+    if (other.ops_->copy != nullptr) {
       other.ops_->copy(storage_, other.storage_);
-      ops_ = other.ops_;
+    } else {
+      std::memcpy(storage_, other.storage_, kCapacity);
     }
+    ops_ = other.ops_;
   }
   void move_from(EventFn& other) {
-    if (other.ops_ != nullptr) {
+    if (other.ops_ == nullptr) return;
+    if (other.ops_->move != nullptr) {
       other.ops_->move(storage_, other.storage_);
-      ops_ = other.ops_;
-      other.reset();
+      other.ops_->destroy(other.storage_);
+    } else {
+      std::memcpy(storage_, other.storage_, kCapacity);
     }
+    ops_ = other.ops_;
+    other.ops_ = nullptr;
   }
 
-  alignas(std::max_align_t) unsigned char storage_[kCapacity];
+  // Pointer alignment keeps EventFn at 72 bytes and an event slot at 96.
+  static constexpr std::size_t kAlign = alignof(void*);
+  alignas(kAlign) unsigned char storage_[kCapacity];
   const Ops* ops_ = nullptr;
 };
 
@@ -212,20 +239,25 @@ class EventQueue {
   std::uint64_t run_until(SimTime limit);
 
  private:
-  // Wheel geometry: 4096 buckets of 2^10 us (~1 ms) cover ~4.2 s of
-  // lookahead, which spans the radio model's backoff (0.5–50 ms) and
-  // airtime (~1–4 ms) deltas; protocol-level timers beyond the horizon
-  // take the overflow heap and are swept in when the wheel re-anchors —
-  // a batched, cache-friendly path that measures faster than widening the
-  // buckets until Trickle's 60 s tau_high fits the wheel. Width and count
+  // Wheel geometry. Level 0 is one epoch of 4096 buckets × 2^10 us
+  // (~1 ms), ~4.19 s in all: it spans the radio model's backoff
+  // (0.5–50 ms) and airtime (~1–4 ms) deltas, so a MAC event is one push
+  // into a heap of a few entries. Level 1 is 64 one-epoch buckets, ~268 s,
+  // which covers Trickle's 60 s tau_high and every advertisement interval
+  // derived from it. A level-1 event is touched only twice — linked on
+  // schedule (or unlinked on cancel), then moved into level 0 once when its
+  // epoch comes up — so its bucket is an unsorted intrusive list, not a
+  // heap, and costs no memory beyond the slot itself. Widths and counts
   // are powers of two so index math is shift/mask.
   static constexpr int kBucketBits = 12;
   static constexpr std::size_t kBuckets = std::size_t{1} << kBucketBits;
   static constexpr int kBucketWidthBits = 10;
-  static constexpr SimTime kBucketWidth = SimTime{1} << kBucketWidthBits;
-  static constexpr SimTime kSpan = static_cast<SimTime>(kBuckets) *
-                                   kBucketWidth;
+  static constexpr int kEpochBits = kBucketBits + kBucketWidthBits;
+  static constexpr SimTime kEpochMask = (SimTime{1} << kEpochBits) - 1;
   static constexpr std::size_t kBitmapWords = kBuckets / 64;
+  static constexpr int kL1Bits = 6;
+  static constexpr SimTime kL1Buckets = SimTime{1} << kL1Bits;
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
 
   /// POD reference ordered by (time, seq); `gen` detects stale entries
   /// whose event was cancelled (or whose slot was recycled) after the
@@ -244,40 +276,66 @@ class EventQueue {
 
   struct Slot {
     EventFn fn;
+    std::uint64_t seq = 0;
     std::uint32_t gen = 1;  // bumped on every release; 0 never occurs
+    // While in level 1: bucket << kEpochBits | the event time's offset in
+    // its epoch (the bucket and epoch_ determine the epoch). kNil while
+    // the slot sits in level 0 or the overflow heap, or is free.
+    std::uint32_t l1 = kNil;
+    std::uint32_t prev = kNil;  // level-1 list links
+    std::uint32_t next = kNil;
   };
+  static_assert(sizeof(Slot) <= 96, "the slab costs this much per live event");
 
+  static SimTime epoch_of(SimTime t) { return t >> kEpochBits; }
   bool is_live(const Ref& r) const { return slots_[r.slot].gen == r.gen; }
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  void push_ref(const Ref& r);
-  /// First bucket index >= from with entries, or kBuckets when the wheel
-  /// is clear.
+  /// Files a live event by its epoch: level 0, level 1 or overflow.
+  void place(std::uint32_t slot, SimTime time);
+  void push_l0(const Ref& r);
+  void link_l1(std::uint32_t slot, SimTime time);
+  void unlink_l1(std::uint32_t slot);
+  /// First bucket index >= from with entries, or kBuckets when level 0 is
+  /// clear.
   std::size_t next_occupied(std::size_t from) const;
   /// Drops stale heap tops; true when a live ref tops the bucket after.
   bool prune_bucket(std::size_t b);
   bool prune_overflow();
-  /// Locates the earliest live ref without removing it. Never re-anchors
-  /// (safe from peek paths); when the wheel is clear the overflow top is
-  /// the answer. Returns false when no live events remain.
-  bool find_earliest(SimTime* time);
-  /// Removes and returns the earliest live ref, re-anchoring the wheel
-  /// onto the overflow when it drains. Only called when a live event
-  /// exists and will be executed.
-  Ref pop_earliest();
+  /// Points cursor_ at the level-0 bucket whose top is the earliest live
+  /// event, discarding stale entries on the way; false when level 0 holds
+  /// no live event.
+  bool seek_l0();
+  /// The next epoch past epoch_ that holds an event (level 1 first, else
+  /// the overflow top's). Only called when level 0 is clear and live_ > 0.
+  SimTime next_epoch();
+  /// Earliest time among the level-1 events of `epoch`.
+  SimTime l1_min_time(SimTime epoch) const;
+  /// Earliest live time when level 0 is clear. Never cascades, so it is
+  /// safe from peek paths: now() may stay behind the next epoch.
+  SimTime earliest_beyond_l0();
+  /// Makes `epoch` current: moves its level-1 list into level 0's heaps
+  /// and pulls overflow events that now fall inside level 1's horizon.
+  /// Only called when the earliest event, which lies in `epoch`, is about
+  /// to run, so now() is back inside epoch_ before anything can schedule.
+  void cascade(SimTime epoch);
+  /// Removes and returns level 0's earliest ref (cursor_ must point at it).
+  Ref pop_l0();
   void run_ref(const Ref& r);
 
   SimTime now_ = 0;
-  SimTime base_ = 0;        // wheel origin, multiple of kBucketWidth
-  std::size_t cursor_ = 0;  // first bucket that can still hold entries
+  SimTime epoch_ = 0;       // level 0's epoch
+  std::size_t cursor_ = 0;  // first level-0 bucket that can hold entries
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
   std::size_t live_ = 0;
 
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
-  std::vector<std::vector<Ref>> buckets_;  // min-heaps by (time, seq)
+  std::vector<std::vector<Ref>> buckets_;  // level 0: min-heaps by (time, seq)
   std::uint64_t occupied_[kBitmapWords] = {};
+  std::uint32_t l1_head_[kL1Buckets];  // level 1: list heads, by epoch % 64
+  std::uint64_t l1_occupied_ = 0;
   std::vector<Ref> overflow_;  // min-heap by (time, seq)
 };
 

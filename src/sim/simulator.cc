@@ -343,6 +343,18 @@ void Simulator::end_transmission(std::uint32_t tx_index) {
   const auto& neighbors = topology_->neighbors(sender);
   for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
     const NodeId r = neighbors[slot];
+    if (slot + 1 < neighbors.size()) {
+      // At 10k nodes a receiver's rng, metrics row and node object are
+      // beyond the cache; start the next receiver's loads while this one
+      // is delivered.
+      const NodeId next = neighbors[slot + 1];
+      NodeMetrics& m = metrics_->node(next);
+      __builtin_prefetch(&rngs_[next]);
+      __builtin_prefetch(&m.received);  // with received_bytes: 64 bytes
+      __builtin_prefetch(&m.received_bytes.back());
+      __builtin_prefetch(&m.rx_airtime_us);
+      __builtin_prefetch(nodes_[next].get());
+    }
     auto& rc = cards_[r];
     --rc.carrier_count;
     const bool locked = rc.rx_tx == tx_index && rc.rx_slot == slot;

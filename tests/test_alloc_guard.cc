@@ -137,63 +137,96 @@ struct CancellingLoop {
   }
 };
 
+// A Trickle-like timer pair, the shape of the protocol's MAINTAIN state:
+// every firing cancels the interval-end timer armed last time (by then it
+// is still epochs away, so it sits in level 1), arms a new one two periods
+// out and fires again one period out. Periods are whole epochs (8–14,
+// ~34–59 s), so every firing lands in the same level-0 bucket.
+struct TrickleLikeLoop {
+  sim::EventQueue* q;
+  std::uint64_t* fired;
+  sim::EventToken* interval_end;
+  sim::SimTime period;
+
+  void operator()() const {
+    ++*fired;
+    if (*interval_end) {
+      ASSERT_TRUE(q->cancel(*interval_end));
+    }
+    *interval_end = q->schedule_at(q->now() + 2 * period, [] {});
+    q->schedule_at(q->now() + period, *this);
+  }
+};
+
 TEST(AllocGuard, SteadyStateEventLoopAllocatesNothing) {
   sim::EventQueue q;
   std::uint64_t fired = 0;
 
   // Periods sweep the wheel but divide the 2^10 us bucket width (or the
-  // whole 2^22 us span), so the bucket-occupancy pattern is periodic with
-  // the wheel wrap and every vector's high-water mark is reached during
-  // warm-up. (Unaligned periods — say 0.7 ms — drift phase against the
-  // buckets for the ~hour-long lcm of period and span, sporadically
-  // setting new per-bucket high-water marks; that growth is amortized
-  // zero but not zero in any finite window.) The half-width loop touches
-  // every bucket twice per wrap; the span-length loop always lands past
-  // the horizon, so the overflow heap and the re-anchor sweep both run.
+  // whole 2^22 us epoch), so the bucket-occupancy pattern repeats every
+  // epoch and every vector's high-water mark is reached during warm-up.
+  // (Unaligned periods — say 0.7 ms — drift phase against the buckets for
+  // the ~hour-long lcm of period and epoch, sporadically setting new
+  // per-bucket high-water marks; that growth is amortized zero but not
+  // zero in any finite window.) The half-width loop touches every bucket
+  // twice per epoch; the epoch-length loop always lands in level 1 and
+  // cascades back, and the Trickle-like loops cancel level-1 residents.
   constexpr sim::SimTime kWidth = 1 << 10;
-  constexpr sim::SimTime kSpan = kWidth << 12;
+  constexpr sim::SimTime kEpoch = kWidth << 12;
+  constexpr int kTrickles = 16;
   q.schedule_at(0, PeriodicLoop{&q, &fired, kWidth / 2});
   q.schedule_at(0, PeriodicLoop{&q, &fired, kWidth});
-  q.schedule_at(0, PeriodicLoop{&q, &fired, kSpan});
+  q.schedule_at(0, PeriodicLoop{&q, &fired, kEpoch});
   q.schedule_at(0, CancellingLoop{&q, &fired, kWidth});
+  sim::EventToken interval_ends[kTrickles];
+  std::uint64_t trickle_fired = 0;
+  for (int i = 0; i < kTrickles; ++i) {
+    q.schedule_at(static_cast<sim::SimTime>(i) * 200 * kWidth + 77,
+                  TrickleLikeLoop{&q, &trickle_fired, &interval_ends[i],
+                                  (8 + i % 7) * kEpoch});
+  }
 
-  // Warm-up: several full wheel wraps (~4 events/ms means 200k events
-  // cover ~50 s of simulated time against the ~4.2 s span), so every
-  // vector reaches its steady-state capacity.
-  for (int i = 0; i < 200000; ++i) ASSERT_TRUE(q.run_next());
+  // Warm-up: ~4 events/ms means 600k events cover ~150 s of simulated
+  // time, several firings of every Trickle-like loop and dozens of
+  // epochs, so every vector reaches its steady-state capacity.
+  for (int i = 0; i < 600000; ++i) ASSERT_TRUE(q.run_next());
 
   const std::uint64_t fired_before = fired;
+  const std::uint64_t trickle_before = trickle_fired;
   const std::uint64_t allocs_before = alloc_count();
   for (int i = 0; i < 200000; ++i) ASSERT_TRUE(q.run_next());
   const std::uint64_t allocs = alloc_count() - allocs_before;
 
-  EXPECT_EQ(fired - fired_before, 200000u);
+  // Interval ends are always cancelled, so every run is a counted
+  // firing; the ~50 s window sees about one of each Trickle-like loop.
+  EXPECT_GE(trickle_fired - trickle_before, 8u);
+  EXPECT_EQ(fired - fired_before + trickle_fired - trickle_before, 200000u);
   EXPECT_EQ(allocs, 0u) << "steady-state schedule/cancel/pop must not "
                            "touch the heap";
 }
 
 TEST(AllocGuard, OverflowBurstsReuseHeapCapacityOnceWarmed) {
   // A burst of far-future events lands entirely in the overflow heap
-  // (every target is past the ~4.2 s wheel horizon), then the drain
-  // re-anchors the wheel several times to sweep them in. The first burst
-  // may grow the heap's backing store and the per-bucket vectors; a
+  // (every target is more than 64 epochs, ~268 s, ahead), then the drain
+  // cascades them through level 1 into level 0's bucket heaps. The first
+  // burst may grow the heap's backing store and the per-bucket vectors; a
   // second, identical burst-and-drain cycle must find all of that
   // capacity recycled and allocate nothing.
   constexpr sim::SimTime kWidth = 1 << 10;
-  constexpr sim::SimTime kSpan = kWidth << 12;
+  constexpr sim::SimTime kEpoch = kWidth << 12;
   constexpr int kBurst = 4096;
 
   sim::EventQueue q;
   std::uint64_t fired = 0;
   const auto burst_and_drain = [&] {
-    // Span-align the burst so both cycles hit the same bucket phase;
+    // Epoch-align the burst so both cycles hit the same bucket phase;
     // otherwise the second cycle can set a new per-bucket high-water
     // mark and legitimately allocate once.
-    const sim::SimTime base = (q.now() / kSpan + 2) * kSpan;
+    const sim::SimTime base = (q.now() / kEpoch + 66) * kEpoch;
     for (int i = 0; i < kBurst; ++i) {
-      // Hostile order: stride the targets across three span windows so
+      // Hostile order: stride the targets across three epochs so
       // consecutive pushes alternate between heap regions.
-      const sim::SimTime at = base + (i % 3) * kSpan + i * kWidth / 4;
+      const sim::SimTime at = base + (i % 3) * kEpoch + i * kWidth / 4;
       q.schedule_at(at, [&fired] { ++fired; });
     }
     while (q.run_next()) {
@@ -201,11 +234,19 @@ TEST(AllocGuard, OverflowBurstsReuseHeapCapacityOnceWarmed) {
   };
 
   burst_and_drain();  // warm-up: establishes high-water capacity
+  stats::set_enabled(true);
+  const std::uint64_t overflow_before =
+      stats::Registry::instance().counter("sim.queue.overflow_push").value();
   const std::uint64_t fired_before = fired;
   const std::uint64_t allocs_before = alloc_count();
   burst_and_drain();
   const std::uint64_t allocs = alloc_count() - allocs_before;
+  const std::uint64_t overflow_pushes =
+      stats::Registry::instance().counter("sim.queue.overflow_push").value() -
+      overflow_before;
+  stats::set_enabled(false);
 
+  EXPECT_EQ(overflow_pushes, static_cast<std::uint64_t>(kBurst));
   EXPECT_EQ(fired - fired_before, static_cast<std::uint64_t>(kBurst));
   EXPECT_EQ(allocs, 0u) << "a warmed overflow heap must absorb repeat "
                            "bursts without touching the allocator";
@@ -297,10 +338,10 @@ TEST(AllocGuard, MetricsEnabledEventLoopAllocatesNothing) {
   sim::EventQueue q;
   std::uint64_t fired = 0;
   constexpr sim::SimTime kWidth = 1 << 10;
-  constexpr sim::SimTime kSpan = kWidth << 12;
+  constexpr sim::SimTime kEpoch = kWidth << 12;
   q.schedule_at(0, PeriodicLoop{&q, &fired, kWidth / 2});
   q.schedule_at(0, PeriodicLoop{&q, &fired, kWidth});
-  q.schedule_at(0, PeriodicLoop{&q, &fired, kSpan});
+  q.schedule_at(0, PeriodicLoop{&q, &fired, kEpoch});
   q.schedule_at(0, CancellingLoop{&q, &fired, kWidth});
 
   for (int i = 0; i < 200000; ++i) ASSERT_TRUE(q.run_next());

@@ -3,8 +3,15 @@
 // collisions, half-duplex).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <map>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "sim/channel.h"
@@ -279,6 +286,255 @@ TEST(EventQueueTest, ForgedTokensCannotTouchLiveEvents) {
   EXPECT_EQ(q.pending(), 1u);
   EXPECT_TRUE(q.run_next());
   EXPECT_TRUE(ran);
+}
+
+// The two levels and the overflow heap, driven side by side with an
+// ordered-map model of (time, seq). Delays are drawn from four classes —
+// sub-millisecond, straddling the next 2^22 us epoch boundary, level 1
+// (4–268 s) and overflow (268 s–30 min) — and cancels hit random live
+// events, so every residence (level 0 heap, level 1 list, overflow heap)
+// is cancelled many times. peek_time() and run_next_before() limits are
+// drawn up to 300 s ahead, so many land in empty epochs between a drained
+// level 0 and the next occupied level-1 bucket.
+TEST(EventQueueTest, RandomizedOpsMatchOrderedMapModel) {
+  constexpr SimTime kEpoch = SimTime{1} << 22;
+  EventQueue q;
+  Rng rng(17);
+  std::map<std::pair<SimTime, std::uint64_t>, int> model;
+  std::vector<std::pair<SimTime, std::uint64_t>> key_of;
+  std::vector<EventToken> token_of;
+  std::vector<int> live_ids;       // ids scheduled, not fired or cancelled
+  std::vector<std::size_t> where;  // id -> index in live_ids
+  std::vector<int> fired;
+  std::uint64_t seq = 0;
+
+  const auto schedule = [&](SimTime at) {
+    const int id = static_cast<int>(key_of.size());
+    token_of.push_back(q.schedule_at(at, [&fired, id] { fired.push_back(id); }));
+    key_of.emplace_back(at, seq);
+    model.emplace(key_of.back(), id);
+    ++seq;
+    where.push_back(live_ids.size());
+    live_ids.push_back(id);
+  };
+  const auto forget = [&](int id) {
+    const std::size_t i = where[id];
+    where[live_ids.back()] = i;
+    live_ids[i] = live_ids.back();
+    live_ids.pop_back();
+    model.erase(key_of[id]);
+  };
+  // Runs one event through both and checks they agree.
+  const auto expect_run = [&](SimTime limit) {
+    const bool due = !model.empty() && model.begin()->first.first <= limit;
+    const SimTime before = q.now();
+    const std::size_t fired_before = fired.size();
+    ASSERT_EQ(q.run_next_before(limit), due);
+    if (!due) {
+      ASSERT_EQ(q.now(), before);
+      ASSERT_EQ(fired.size(), fired_before);
+      return;
+    }
+    const int id = model.begin()->second;
+    ASSERT_EQ(fired.size(), fired_before + 1);
+    ASSERT_EQ(fired.back(), id);
+    ASSERT_EQ(q.now(), key_of[id].first);
+    forget(id);
+  };
+
+  // A 10k same-time burst at t = 0 fires in scheduling order.
+  for (int i = 0; i < 10000; ++i) schedule(0);
+  for (int i = 0; i < 10000; ++i) expect_run(0);
+  ASSERT_TRUE(q.empty());
+
+  // Alternating build and drain phases: draining leaves only far events,
+  // so pops jump time ahead by minutes, level 1 runs empty while the
+  // overflow heap still holds events, and fresh level-1 schedules land
+  // beyond old overflow residents.
+  std::uint64_t ops = 0;
+  while (ops < 120000) {
+    const bool drain = (ops / 5000) % 2 == 1;
+    const std::uint64_t schedule_pct = drain ? 10 : 45;
+    const std::uint64_t cancel_pct = schedule_pct + (drain ? 5 : 15);
+    const std::uint64_t op = rng.uniform(100);
+    ++ops;
+    if (op < schedule_pct) {
+      const SimTime now = q.now();
+      SimTime at;
+      switch (rng.uniform(4)) {
+        case 0:
+          at = now + static_cast<SimTime>(rng.uniform(1000));
+          break;
+        case 1: {
+          const SimTime boundary = (now / kEpoch + 1) * kEpoch;
+          at = std::max(now, boundary - 3000 +
+                                 static_cast<SimTime>(rng.uniform(6000)));
+          break;
+        }
+        case 2:
+          at = now + 4 * kSecond +
+               static_cast<SimTime>(rng.uniform(264 * kSecond));
+          break;
+        default:
+          at = now + 268 * kSecond +
+               static_cast<SimTime>(rng.uniform(1532 * kSecond));
+          break;
+      }
+      schedule(at);
+    } else if (op < cancel_pct) {
+      if (live_ids.empty()) continue;
+      const int id = live_ids[rng.uniform(live_ids.size())];
+      ASSERT_TRUE(q.cancel(token_of[id]));
+      ASSERT_FALSE(q.cancel(token_of[id]));
+      forget(id);
+    } else if (op < cancel_pct + 10) {
+      const std::optional<SimTime> t = q.peek_time();
+      if (model.empty()) {
+        ASSERT_FALSE(t.has_value());
+      } else {
+        ASSERT_TRUE(t.has_value());
+        ASSERT_EQ(*t, model.begin()->first.first);
+      }
+    } else if (op < cancel_pct + 20) {
+      expect_run(q.now() + static_cast<SimTime>(rng.uniform(300 * kSecond)));
+    } else {
+      expect_run(std::numeric_limits<SimTime>::max());
+    }
+    ASSERT_EQ(q.pending(), model.size());
+  }
+  while (!model.empty()) expect_run(std::numeric_limits<SimTime>::max());
+  EXPECT_FALSE(q.run_next());
+  EXPECT_TRUE(q.empty());
+}
+
+// peek_time() and a run_next_before() whose limit falls short of the next
+// occupied epoch must not move the wheel: an event scheduled afterwards,
+// earlier than everything already queued, still fires first.
+TEST(EventQueueTest, LimitsInEmptyEpochsLeaveTheWheelInPlace) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule_at(100 * kSecond, [&] { order.push_back(3); });
+  q.schedule_at(1000 * kSecond, [&] { order.push_back(4); });
+  EXPECT_EQ(q.peek_time().value(), 100 * kSecond);
+  EXPECT_FALSE(q.run_next_before(50 * kSecond));    // empty epoch
+  EXPECT_FALSE(q.run_next_before(100 * kSecond - 1));  // inside its epoch
+  EXPECT_EQ(q.now(), 0);
+  q.schedule_at(30 * kSecond, [&] { order.push_back(2); });
+  q.schedule_at(5, [&] { order.push_back(1); });
+  EXPECT_EQ(q.run_until(99 * kSecond), 2u);
+  EXPECT_EQ(q.peek_time().value(), 100 * kSecond);
+  EXPECT_EQ(q.run_until(500 * kSecond), 1u);
+  // Only the overflow-resident event is left, 900 s ahead of now().
+  EXPECT_FALSE(q.run_next_before(999 * kSecond));
+  q.schedule_at(600 * kSecond, [&] { order.push_back(35); });
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 35, 4}));
+}
+
+// ---------------------------------------------------------------------------
+// EventFn
+// ---------------------------------------------------------------------------
+
+struct CaptureCounts {
+  int copies = 0;
+  int moves = 0;
+  int destroys = 0;
+  int calls = 0;
+};
+
+// Not trivially copyable: every copy, move and destruction is counted.
+struct CountedCapture {
+  CaptureCounts* n;
+  explicit CountedCapture(CaptureCounts* counts) : n(counts) {}
+  CountedCapture(const CountedCapture& o) : n(o.n) { ++n->copies; }
+  CountedCapture(CountedCapture&& o) noexcept : n(o.n) { ++n->moves; }
+  ~CountedCapture() { ++n->destroys; }
+  void operator()() const { ++n->calls; }
+};
+
+// Trivially copyable and destructible: relocated as raw bytes.
+struct PlainCapture {
+  int* calls;
+  int weight;
+  void operator()() const { *calls += weight; }
+};
+static_assert(std::is_trivially_copyable_v<PlainCapture> &&
+              std::is_trivially_destructible_v<PlainCapture>);
+
+TEST(EventFnTest, NonTrivialCaptureCopiesAndDestroysExactlyOncePerObject) {
+  CaptureCounts n;
+  {
+    EventFn a{CountedCapture(&n)};  // moved in; the temporary dies
+    EXPECT_EQ(n.moves, 1);
+    EXPECT_EQ(n.destroys, 1);
+    EventFn b = a;
+    EXPECT_EQ(n.copies, 1);
+    EventFn c = std::move(a);
+    EXPECT_FALSE(a);
+    EXPECT_EQ(n.moves, 2);
+    EXPECT_EQ(n.destroys, 2);  // the moved-from object is destroyed
+    b();
+    c();
+    EXPECT_EQ(n.calls, 2);
+    b = c;
+    EXPECT_EQ(n.copies, 2);
+    EXPECT_EQ(n.destroys, 3);
+    EventFn d;
+    d = std::move(b);
+    EXPECT_EQ(n.moves, 3);
+    EXPECT_EQ(n.destroys, 4);
+  }
+  EXPECT_EQ(n.destroys, 6);  // c and d
+  EXPECT_EQ(n.destroys, 1 + n.copies + n.moves);
+
+  // Through the queue: every object the queue makes is destroyed once,
+  // whether its event fires or is cancelled.
+  EventQueue q;
+  q.schedule_at(1, CountedCapture(&n));
+  const EventToken victim = q.schedule_at(2, CountedCapture(&n));
+  const EventToken far = q.schedule_at(100 * kSecond, CountedCapture(&n));
+  EXPECT_TRUE(q.cancel(victim));
+  EXPECT_TRUE(q.cancel(far));
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(n.calls, 3);
+  EXPECT_EQ(n.destroys, 4 + n.copies + n.moves);
+}
+
+TEST(EventFnTest, TrivialCaptureCopiesAsBytesWithoutCallingAnyOps) {
+  int calls = 0;
+  EventFn a{PlainCapture{&calls, 1}};
+  EventFn b = a;
+  EventFn c = std::move(a);
+  EXPECT_FALSE(a);
+  b();
+  c();
+  EXPECT_EQ(calls, 2);
+
+  // A slot that held a non-trivial capture takes a trivial one and back:
+  // the counted object is destroyed exactly once per object made.
+  CaptureCounts n;
+  EventFn mixed{CountedCapture(&n)};
+  mixed = EventFn{PlainCapture{&calls, 10}};
+  EXPECT_EQ(n.destroys, 2);
+  mixed();
+  EXPECT_EQ(calls, 12);
+  mixed = EventFn{CountedCapture(&n)};
+  mixed();
+  EXPECT_EQ(n.calls, 1);
+  mixed.reset();
+  EXPECT_FALSE(mixed);
+  EXPECT_EQ(n.destroys, 2 + n.copies + n.moves);  // two temporaries
+
+  // Through the queue, many trivially relocated copies fire once each.
+  EventQueue q;
+  for (int i = 0; i < 1000; ++i) {
+    q.schedule_at(i * kMillisecond * 7, PlainCapture{&calls, 100});
+  }
+  while (q.run_next()) {
+  }
+  EXPECT_EQ(calls, 12 + 100000);
 }
 
 // ---------------------------------------------------------------------------

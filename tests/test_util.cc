@@ -2,6 +2,8 @@
 // hex, statistics and table formatting.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -204,6 +206,81 @@ TEST(Rng, GeometricMeanMatches) {
   for (int i = 0; i < trials; ++i)
     total += static_cast<double>(rng.geometric(0.25));
   EXPECT_NEAR(total / trials, 4.0, 0.1);
+}
+
+// Golden stream for a fixed seed. Every simulation outcome depends on
+// these exact values, so a change to the generator or to the draw helpers
+// (their arithmetic, or how the compiler inlines it) shows up here first.
+// uniform01() is compared by bit pattern, and bernoulli(0.3) outcomes are
+// packed one bit per draw (bit i = draw i).
+TEST(Rng, GoldenStream) {
+  constexpr std::uint64_t kNext[64] = {
+      0x1def33ece6145786ULL, 0x4bab03c77b41885dULL, 0x50cf5301b64c873cULL,
+      0xc6090b3e0ecb3e2eULL, 0xfe06136eaf1b46fdULL, 0x769f8b62af573c9eULL,
+      0x4bdc8fdb3f6c8bb3ULL, 0xe3be1492d707938cULL, 0x46782e68f1152c6eULL,
+      0xe75836b1422fc6c9ULL, 0x635d3b8d1697ac44ULL, 0x3aa5d468e9f9a480ULL,
+      0x5c585c6e980e38a8ULL, 0x6c0f64cd9d6ada7bULL, 0x9cbb3987ad5d951dULL,
+      0x421803abc56f74e3ULL, 0x5884bae4364cbe89ULL, 0x093b05f4ef19a915ULL,
+      0xfa97a7769c6aab0dULL, 0xab95d09f73e88916ULL, 0x6cb510b25713d5d3ULL,
+      0xf0734590250fa05dULL, 0x57e408ec31b0a9dfULL, 0xed3aa5d37539789eULL,
+      0xaf9c50a0d2a9299eULL, 0xb425acd39b151115ULL, 0x92c42fc8a5d4140aULL,
+      0xdeb017617e883ceaULL, 0xe3b99b3cb48889ffULL, 0x7e5a2262a4841691ULL,
+      0xa2919465756bc75cULL, 0xe314eae8029a068cULL, 0xca986b1578570887ULL,
+      0x0cb9c6be31b21767ULL, 0x8d4b8a66967e3f27ULL, 0xfc833f6d5dad5b59ULL,
+      0x41456005d34b0071ULL, 0x2035d87a21f95fc2ULL, 0x9781c294a44559aaULL,
+      0xb931bf8eebdc9813ULL, 0x02fa9c0ee10f9f13ULL, 0x9137d7b9b214f895ULL,
+      0xd8893c791f7589afULL, 0xed1489545564ab8fULL, 0x3f2e988fc9654c1dULL,
+      0x8a997d3cfc194f64ULL, 0x213ba3c2cdbd4d3cULL, 0x3e509fac35ff949eULL,
+      0x91c40e357181b0c7ULL, 0x03b05e10e78d2cd0ULL, 0xc47b20ddf9b166cbULL,
+      0x237b02676ae42d58ULL, 0xf81dee829f78471cULL, 0x6dc56cfe573b0578ULL,
+      0x425b473285e05acaULL, 0x695e203b7169fb60ULL, 0xa6b8c0f10e53785cULL,
+      0x51dc9a4f0640af6eULL, 0x0d88966fc1a8bf23ULL, 0x1a363fe174211b6bULL,
+      0x0fe5b6b44ac701baULL, 0x25255e074d259794ULL, 0x77a109315df1efcaULL,
+      0x7aa76029a18a79c9ULL,
+  };
+  constexpr std::uint64_t kUniform01Bits[64] = {
+      0x3fbdef33ece61450ULL, 0x3fd2eac0f1ded062ULL, 0x3fd433d4c06d9320ULL,
+      0x3fe8c12167c1d967ULL, 0x3fefc0c26dd5e368ULL, 0x3fdda7e2d8abd5ceULL,
+      0x3fd2f723f6cfdb22ULL, 0x3fec77c2925ae0f2ULL, 0x3fd19e0b9a3c454aULL,
+      0x3feceb06d62845f8ULL, 0x3fd8d74ee345a5eaULL, 0x3fcd52ea3474fcd0ULL,
+      0x3fd716171ba6038eULL, 0x3fdb03d933675ab6ULL, 0x3fe3976730f5abb2ULL,
+      0x3fd08600eaf15bdcULL, 0x3fd6212eb90d932eULL, 0x3fa2760be9de3350ULL,
+      0x3fef52f4eed38d55ULL, 0x3fe572ba13ee7d11ULL, 0x3fdb2d442c95c4f4ULL,
+      0x3fee0e68b204a1f4ULL, 0x3fd5f9023b0c6c2aULL, 0x3feda754ba6ea72fULL,
+      0x3fe5f38a141a5525ULL, 0x3fe684b59a7362a2ULL, 0x3fe25885f914ba82ULL,
+      0x3febd602ec2fd107ULL, 0x3fec773367969111ULL, 0x3fdf968898a92104ULL,
+      0x3fe452328caead78ULL, 0x3fec629d5d005340ULL, 0x3fe9530d62af0ae1ULL,
+      0x3fa9738d7c636420ULL, 0x3fe1a9714cd2cfc7ULL, 0x3fef9067edabb5abULL,
+      0x3fd051580174d2c0ULL, 0x3fc01aec3d10fcacULL, 0x3fe2f038529488abULL,
+      0x3fe72637f1dd7b93ULL, 0x3f87d4e077087cc0ULL, 0x3fe226faf736429fULL,
+      0x3feb11278f23eeb1ULL, 0x3feda2912a8aac95ULL, 0x3fcf974c47e4b2a4ULL,
+      0x3fe1532fa79f8329ULL, 0x3fc09dd1e166dea4ULL, 0x3fcf284fd61affc8ULL,
+      0x3fe23881c6ae3036ULL, 0x3f8d82f0873c6940ULL, 0x3fe88f641bbf362cULL,
+      0x3fc1bd8133b57214ULL, 0x3fef03bdd053ef08ULL, 0x3fdb715b3f95cec0ULL,
+      0x3fd096d1cca17816ULL, 0x3fda57880edc5a7eULL, 0x3fe4d7181e21ca6fULL,
+      0x3fd4772693c1902aULL, 0x3fab112cdf835170ULL, 0x3fba363fe1742118ULL,
+      0x3fafcb6d68958e00ULL, 0x3fc292af03a692c8ULL, 0x3fdde8424c577c7aULL,
+      0x3fdea9d80a68629eULL,
+  };
+  constexpr std::uint64_t kBernoulli03 = 0x3c4ad13200028943ULL;
+
+  Rng next_rng(20110620);
+  for (int i = 0; i < 64; ++i) EXPECT_EQ(next_rng.next(), kNext[i]) << i;
+
+  Rng u01_rng(20110620);
+  for (int i = 0; i < 64; ++i) {
+    const double u = u01_rng.uniform01();
+    std::uint64_t bits;
+    std::memcpy(&bits, &u, sizeof bits);
+    EXPECT_EQ(bits, kUniform01Bits[i]) << i;
+  }
+
+  Rng bern_rng(20110620);
+  std::uint64_t outcomes = 0;
+  for (int i = 0; i < 64; ++i) {
+    if (bern_rng.bernoulli(0.3)) outcomes |= std::uint64_t{1} << i;
+  }
+  EXPECT_EQ(outcomes, kBernoulli03);
 }
 
 TEST(Rng, ForkedStreamsAreIndependentlySeeded) {
