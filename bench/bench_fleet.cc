@@ -18,12 +18,9 @@
 // peak_rss_mb / steals columns are machine- and schedule-dependent and are
 // excluded from determinism comparisons (steals is the work-stealing
 // pool's successful-steal count — Gauge territory, never a Counter).
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <utility>
@@ -46,30 +43,6 @@ struct Rung {
 
 const std::vector<Rung> kLadder = {{4, 16}, {8, 32}, {16, 64}};
 const std::vector<Rung> kQuickLadder = {{8, 8}};
-
-/// See bench_scale.cc: reset the kernel RSS high-water mark so each rung
-/// reports its own peak, not the process-lifetime maximum.
-void reset_peak_rss() {
-  std::ofstream f("/proc/self/clear_refs");
-  if (f) f << "5";
-}
-
-double peak_rss_mb() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      try {
-        return std::stod(line.substr(6)) / 1024.0;  // KiB -> MiB
-      } catch (...) {
-        break;
-      }
-    }
-  }
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
-}
 
 /// Tenant `t` of a rung: small LR-Seluge geometry (fast cells), codec
 /// cycling rs / lrc / rs, versions 1-3, image sizes 1-2.5 KB, heterogeneous 4-12 receiver stars, and every fifth
@@ -164,13 +137,13 @@ int run(int argc, char** argv) {
     }
     engine.prepare();
 
-    reset_peak_rss();
+    bench::reset_peak_rss();
     const auto t0 = std::chrono::steady_clock::now();
     const fleet::FleetReport report =
         engine.run(static_cast<std::size_t>(jobs_flag));
     const auto t1 = std::chrono::steady_clock::now();
     const double wall = std::chrono::duration<double>(t1 - t0).count();
-    const double rss = peak_rss_mb();
+    const double rss = bench::peak_rss_mb();
 
     for (const fleet::TenantResult& tr : report.tenants) {
       if (tr.phase != fleet::TenantPhase::kConverged) {

@@ -32,8 +32,6 @@
 // resolution (VmHWM, printed with matching precision), so small rungs no
 // longer inherit — and tie at — the process-lifetime maximum of whatever
 // ran before them.
-#include <sys/resource.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -61,34 +59,6 @@ const std::vector<std::string> kLadder = {
     "geo-2k",          "geo-10k",          "geo-100k"};
 const std::vector<std::string> kQuickLadder = {
     "grid15x15-tight", "grid15x15-medium", "cells-1k", "geo-2k"};
-
-/// Resets the kernel's RSS high-water mark ("5" into /proc/self/clear_refs,
-/// proc(5)) so the next peak_rss_mb() call reports this rung's own peak
-/// rather than the process-lifetime maximum. Best-effort: a no-op on
-/// kernels without the file, where rows fall back to the monotonic maximum.
-void reset_peak_rss() {
-  std::ofstream f("/proc/self/clear_refs");
-  if (f) f << "5";
-}
-
-/// Peak RSS in MiB at KiB resolution: VmHWM from /proc/self/status (the
-/// value reset_peak_rss clears), falling back to getrusage's ru_maxrss.
-double peak_rss_mb() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      try {
-        return std::stod(line.substr(6)) / 1024.0;  // KiB -> MiB
-      } catch (...) {
-        break;
-      }
-    }
-  }
-  struct rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
-}
 
 std::vector<std::string> split_csv_list(const std::string& s) {
   std::vector<std::string> out;
@@ -269,7 +239,7 @@ int run(int argc, char** argv) {
     // documents what "nodes" means radio-wise at this rung of the ladder.
     const double degree = sim::build_topology(config.topo_spec).mean_degree();
 
-    reset_peak_rss();
+    bench::reset_peak_rss();
     const auto t0 = std::chrono::steady_clock::now();
     const auto trials = core::run_trials(config, repeats,
                                          static_cast<std::size_t>(jobs_flag));
@@ -292,7 +262,7 @@ int run(int argc, char** argv) {
 
     // Deterministic load attribution for the island-executor rungs:
     // max/mean per-island event-load ratio, exactly 1.0 when the rung runs
-    // the classic single-simulator path. Both factors are trial sums, so
+    // the whole network as one cell. Both factors are trial sums, so
     // the ratio is the trial-weighted imbalance.
     const double imbalance =
         avg.events_executed == 0
@@ -316,7 +286,7 @@ int run(int argc, char** argv) {
                    std::to_string(s.expected_complete()),
                    format_num(wall, 3),
                    format_num(static_cast<double>(events) / wall),
-                   format_num(peak_rss_mb(), 3)});
+                   format_num(bench::peak_rss_mb(), 3)});
   }
 
   bench::print_table("simulator scale ladder", table);

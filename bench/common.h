@@ -4,6 +4,8 @@
 // provenance-stamped BENCH_<name>.json artifact for cross-PR comparison.
 #pragma once
 
+#include <sys/resource.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -21,6 +23,36 @@
 #include "util/csv.h"
 
 namespace lrs::bench {
+
+/// Resets the kernel's RSS high-water mark ("5" into /proc/self/clear_refs,
+/// proc(5)) so the next peak_rss_mb() call reports the peak since this
+/// call rather than the process-lifetime maximum. The reset starts from
+/// the process's current RSS, which still holds heap that earlier work
+/// freed but malloc kept. Best-effort: a no-op on kernels without the
+/// file, where readings fall back to the monotonic maximum.
+inline void reset_peak_rss() {
+  std::ofstream f("/proc/self/clear_refs");
+  if (f) f << "5";
+}
+
+/// Peak RSS in MiB at KiB resolution: VmHWM from /proc/self/status (the
+/// value reset_peak_rss clears), falling back to getrusage's ru_maxrss.
+inline double peak_rss_mb() {
+  std::ifstream in("/proc/self/status");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      try {
+        return std::stod(line.substr(6)) / 1024.0;  // KiB -> MiB
+      } catch (...) {
+        break;
+      }
+    }
+  }
+  struct rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return static_cast<double>(ru.ru_maxrss) / 1024.0;  // Linux: KiB
+}
 
 /// Flags shared by every figure/table harness:
 ///   --repeats=R    seeds averaged per sweep point (default: the harness's

@@ -53,9 +53,9 @@ Bytes make_test_image(std::size_t size, std::uint64_t seed) {
 
 namespace {
 
-/// The preloaded key material is the same for every trial. The
-/// single-simulator path signs with a copy of one key tree (leaf 0, like a
-/// freshly built signer) instead of regenerating it per trial. The tree is
+/// The preloaded key material is the same for every trial. A one-cell run
+/// signs with a copy of one key tree (leaf 0, like a freshly built signer)
+/// instead of regenerating it per trial. The tree is
 /// built at load time, outside any metrics window, so every trial's
 /// counters stay the same whichever trial runs first.
 const Bytes kKeySeed{0x11, 0x22, 0x33, 0x44};
@@ -99,22 +99,14 @@ std::unique_ptr<proto::SchemeState> make_receiver_scheme(
   return nullptr;
 }
 
-/// Simulates one closed radio system — the whole network, or one island of
-/// it — to completion and extracts its metrics. `members` follows the
-/// Simulator contract: empty means every topology position; otherwise an
-/// ascending list closed under the radio graph, whose smallest id serves
-/// as the base station. `source` is the (pre-signed) disseminating scheme.
+}  // namespace
+
 ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
                           const crypto::PacketHash& root_pk,
                           std::shared_ptr<const sim::Topology> topology,
                           std::vector<NodeId> members,
-                          std::unique_ptr<proto::SchemeState> source) {
-  // Top-level scope: one cell end to end (build, run, metric extraction).
-  // In island mode cells run concurrently, so accumulated scope time is
-  // CPU-time-like — it can exceed wall time under LRS_JOBS > 1.
-  static stats::Timer& cell_timer =
-      stats::Registry::instance().timer("core.run_cell", /*top_level=*/true);
-  stats::TimerScope cell_scope(cell_timer);
+                          std::unique_ptr<proto::SchemeState> source,
+                          proto::SignatureMemo signatures) {
   const std::size_t node_count = topology->size();
 
   std::unique_ptr<sim::LossModel> loss;
@@ -144,6 +136,7 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
   // simulation: every node of this run shares keys and delivery serials,
   // so the ~radio-degree receivers of each broadcast verify it once.
   auto rx_memo = std::make_unique<proto::RxFanoutMemo>();
+  rx_memo->signatures = std::move(signatures);
 
   proto::EngineConfig engine;
   engine.timing = config.timing;
@@ -244,7 +237,8 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
     return metrics.completed_count(base) == receiver_count;
   };
   {
-    // Nested (inclusive) scope: the event loop proper, inside core.run_cell.
+    // Nested (inclusive) scope: the event loop proper, inside the caller's
+    // top-level cell scope (core.run_cell or fleet.run_cell).
     static stats::Timer& run_timer =
         stats::Registry::instance().timer("sim.run");
     stats::TimerScope run_scope(run_timer);
@@ -318,6 +312,8 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
   return r;
 }
 
+namespace {
+
 /// Folds per-island results (in island order) into one network-wide
 /// result. Counters add; latency is the slowest island's (dissemination
 /// runs everywhere concurrently); the idle-listening bound adds because
@@ -384,78 +380,70 @@ ExperimentResult run_experiment(const ExperimentConfig& config) {
     LRS_CHECK_MSG(false, "unknown topology selector");
   }());
 
-  if (config.islands) {
-    std::vector<std::vector<NodeId>> islands = sim::radio_islands(*topology);
-    if (islands.size() > 1) {
-      // Fault plans and trace exports are whole-network, single-stream
-      // concepts; the scenario layer rejects the combination up front.
-      LRS_CHECK_MSG(!config.faults.any(),
-                    "island mode does not support fault plans");
-      LRS_CHECK_MSG(!config.trace.enabled(),
-                    "island mode does not support tracing");
-
-      std::vector<std::unique_ptr<proto::SchemeState>> sources;
-      crypto::PacketHash root_pk{};
-      {
-        // Top-level scope: all source-side key material and signing work
-        // (serial by construction — see the pre-sign comment below).
-        static stats::Timer& source_timer = stats::Registry::instance().timer(
-            "core.source", /*top_level=*/true);
-        stats::TimerScope source_scope(source_timer);
-
-        // Key material: still one signer (one preloaded root) for the whole
-        // deployment, but every island's base signs its own dissemination,
-        // so the one-time-key tree must cover the island count.
-        std::size_t height = 2;
-        while ((std::size_t{1} << height) < islands.size()) ++height;
-        crypto::MultiKeySigner signer(view(kKeySeed), height);
-        root_pk = signer.root_public_key();
-
-        // Pre-sign serially in island order: the signer hands out one-time
-        // keys in sequence, so the leaf -> island assignment must never
-        // depend on worker scheduling.
-        sources.reserve(islands.size());
-        for (std::size_t i = 0; i < islands.size(); ++i) {
-          sources.push_back(make_source_scheme(config, image, signer));
-        }
-      }
-
-      // Each worker builds, runs and destroys its island's simulator, so
-      // peak memory is jobs x one-island state, not islands x. Results land
-      // in island-indexed slots: byte-identical for any worker count.
-      std::vector<ExperimentResult> parts(islands.size());
-      const std::size_t jobs =
-          config.island_jobs != 0 ? config.island_jobs : default_jobs();
-      // Island sizes are heterogeneous (a geometric deployment mixes
-      // 2-node islets with 1000-node blobs), so the work-stealing runner
-      // replaces the flat atomic-counter fan-out; results stay in
-      // island-indexed slots, hence byte-identical for any worker count.
-      const std::size_t steals =
-          parallel_for_ws(islands.size(), jobs, [&](std::size_t i) {
-            parts[i] = run_cell(config, image, root_pk, topology,
-                                std::move(islands[i]), std::move(sources[i]));
-          });
-      static stats::Gauge& steal_gauge =
-          stats::Registry::instance().gauge("core.parallel.steals");
-      steal_gauge.add(static_cast<std::int64_t>(steals));
-      return merge_islands(parts);
-    }
+  // The cells: the radio islands in island mode, else the whole network
+  // (members {}), which a connected topology takes in island mode too.
+  std::vector<std::vector<NodeId>> cells;
+  if (config.islands) cells = sim::radio_islands(*topology);
+  if (cells.size() > 1) {
+    // Fault plans and trace exports are whole-network, single-stream
+    // concepts; the scenario layer rejects the combination up front.
+    LRS_CHECK_MSG(!config.faults.any(),
+                  "island mode does not support fault plans");
+    LRS_CHECK_MSG(!config.trace.enabled(),
+                  "island mode does not support tracing");
+  } else {
+    cells.assign(1, {});
   }
 
-  // Classic single-simulator path (also: island mode on a connected
-  // topology, which is one island and must match this path exactly).
-  std::unique_ptr<proto::SchemeState> source;
+  std::vector<std::unique_ptr<proto::SchemeState>> sources;
   crypto::PacketHash root_pk{};
   {
+    // Top-level scope: all source-side key material and signing work.
     static stats::Timer& source_timer = stats::Registry::instance().timer(
         "core.source", /*top_level=*/true);
     stats::TimerScope source_scope(source_timer);
-    crypto::MultiKeySigner signer = kKeyTree;
+
+    // One signer (one preloaded root) for the whole deployment, but every
+    // cell's base signs its own dissemination, so several cells need a
+    // one-time-key tree covering the cell count.
+    std::size_t height = 2;
+    while ((std::size_t{1} << height) < cells.size()) ++height;
+    crypto::MultiKeySigner signer =
+        cells.size() == 1 ? kKeyTree
+                          : crypto::MultiKeySigner(view(kKeySeed), height);
     root_pk = signer.root_public_key();
-    source = make_source_scheme(config, image, signer);
+
+    // Sign serially in cell order: the signer hands out one-time keys in
+    // sequence, so the leaf -> cell assignment must never depend on worker
+    // scheduling.
+    sources.reserve(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      sources.push_back(make_source_scheme(config, image, signer));
+    }
   }
-  return run_cell(config, image, root_pk, std::move(topology), {},
-                  std::move(source));
+
+  // Each worker builds, runs and destroys its cell's simulator, so peak
+  // memory is jobs x one-cell state, not cells x. Island sizes are
+  // heterogeneous (a geometric deployment mixes 2-node islets with
+  // 1000-node blobs), hence the work-stealing runner; results land in
+  // cell-indexed slots, so they are byte-identical for any worker count.
+  std::vector<ExperimentResult> parts(cells.size());
+  const std::size_t steals =
+      parallel_for_ws(cells.size(), default_jobs(), [&](std::size_t i) {
+        // Top-level scope: one cell end to end (build, run, metric
+        // extraction). Cells run concurrently, so accumulated scope time is
+        // CPU-time-like — it can exceed wall time under LRS_JOBS > 1.
+        static stats::Timer& cell_timer = stats::Registry::instance().timer(
+            "core.run_cell", /*top_level=*/true);
+        stats::TimerScope cell_scope(cell_timer);
+        parts[i] = run_cell(config, image, root_pk, topology,
+                            std::move(cells[i]), std::move(sources[i]));
+      });
+  if (parts.size() == 1) return std::move(parts.front());
+  static stats::Gauge& steal_gauge =
+      stats::Registry::instance().gauge("core.parallel.steals");
+  steal_gauge.add(static_cast<std::int64_t>(steals));
+  return merge_islands(parts);
 }
 
 ExperimentResult run_experiment_avg(const ExperimentConfig& config,

@@ -6,11 +6,13 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "proto/params.h"
+#include "proto/scheme.h"
 #include "sim/channel.h"
 #include "sim/faults.h"
 #include "sim/scenario/generators.h"
@@ -73,12 +75,12 @@ struct ExperimentConfig {
 
   // Island-sharded execution (sim/partition.h): partition the topology
   // into radio-connected components, give each its own base station (the
-  // island's smallest id) and simulate them independently on a worker
-  // pool. Deterministic — serial and parallel runs are byte-identical, and
-  // a connected topology (one island) takes the classic single-simulator
-  // path unchanged. Requires no fault plan and no tracing.
+  // island's smallest id) and simulate them independently on the
+  // default_jobs() (LRS_JOBS) worker pool. Deterministic — serial and
+  // parallel runs are byte-identical, and a connected topology (one
+  // island) runs exactly as with islands off. Requires no fault plan and
+  // no tracing.
   bool islands = false;
-  std::size_t island_jobs = 0;  // 0 = default_jobs() (LRS_JOBS)
 };
 
 struct ExperimentResult {
@@ -105,7 +107,7 @@ struct ExperimentResult {
   /// throughput figure (bench_scale). Deterministic for a (config, seed).
   std::uint64_t events_executed = 0;
   /// Island-sharded load attribution. `islands` is the number of radio
-  /// islands simulated (1 on the classic single-simulator path) and
+  /// islands simulated (1 when the whole network is one cell) and
   /// `max_island_events` the busiest island's events_executed, so
   /// max_island_events * islands / events_executed is the load-imbalance
   /// ratio (max/mean, 1.0 when perfectly balanced). Both are deterministic
@@ -144,6 +146,21 @@ struct ExperimentResult {
 Bytes make_test_image(std::size_t size, std::uint64_t seed);
 
 ExperimentResult run_experiment(const ExperimentConfig& config);
+
+/// Builds, runs and measures one simulated cell: a closed radio system such
+/// as a whole network, one radio island of it, or one fleet cell. `members`
+/// follows the Simulator contract: empty means every topology position;
+/// otherwise an ascending list closed under the radio graph, whose smallest
+/// id serves as the base station. `source` is the base's pre-signed
+/// disseminating scheme, `image` what every receiver must reassemble, and
+/// `signatures` the verdicts the cell's receive memo starts from. Callers
+/// own the top-level timer scope around it.
+ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
+                          const crypto::PacketHash& root_pk,
+                          std::shared_ptr<const sim::Topology> topology,
+                          std::vector<NodeId> members,
+                          std::unique_ptr<proto::SchemeState> source,
+                          proto::SignatureMemo signatures = {});
 
 /// Averages `repeats` runs with derived seeds (seed, seed+1, ...).
 ExperimentResult run_experiment_avg(const ExperimentConfig& config,

@@ -10,7 +10,9 @@
 //     station is stamped from that master state via SchemeState::
 //     clone_source() (a byte copy, no re-hashing, no re-signing).
 //   * Per cell, everything dynamic is private: simulator, RNG streams,
-//     receiver states, verification memo. Cells never touch each other.
+//     receiver states, verification memo. A cell is an LR-Seluge star run
+//     through core::run_cell, the runner trials and islands use too.
+//     Cells never touch each other.
 //
 // Determinism contract (the repo-wide serial-vs-LRS_JOBS discipline): the
 // work list is the tenant-ordered, cell-indexed cross product; each cell's
@@ -32,18 +34,6 @@
 #include "util/types.h"
 
 namespace lrs::fleet {
-
-/// Outcome of one cell — deterministic for (spec, cell index).
-struct CellResult {
-  bool converged = false;  // every receiver completed within the time limit
-  std::size_t receivers = 0;
-  std::uint64_t events = 0;  // simulator events executed
-  std::uint64_t data_packets = 0;
-  std::uint64_t snack_packets = 0;
-  std::uint64_t total_bytes = 0;
-  double latency_s = 0.0;  // simulated; time limit when not converged
-  bool images_match = true;  // completed receivers reassembled the payload
-};
 
 /// Per-tenant aggregate over its cells, walked in cell-index order.
 struct TenantResult {
@@ -132,11 +122,6 @@ class FleetEngine {
     Bytes base;        // previous version's image (delta tenants only)
     Bytes payload;     // what cells disseminate: image or delta blob
   };
-
-  /// `verdicts` holds the tenant's verified master signature frame; the
-  /// cell's receive memo starts from it.
-  CellResult run_cell(const Tenant& tenant, std::size_t cell,
-                      const proto::SignatureMemo& verdicts) const;
 
   std::vector<Tenant> tenants_;
 };

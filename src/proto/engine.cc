@@ -105,9 +105,6 @@ void DissemNode::set_state(NodeState next) {
 }
 
 void DissemNode::note_auth_failure(sim::PacketClass cls) {
-  static stats::Counter& fails =
-      stats::Registry::instance().counter("proto.auth.fail");
-  fails.add();
   if (auto* o = env().observer()) {
     o->on_auth_failure(env().now(), env().id(), cls);
   }
@@ -190,7 +187,8 @@ void DissemNode::on_receive(ByteView frame) {
   // The protocol-bound hot path: everything below — parse, MAC/hash
   // verification, scheme buffering, erasure decode — bills to proto.rx
   // (inclusive of the nested crypto.*/erasure.* scopes). Frames received
-  // = proto.rx.calls; authenticated ones = calls - proto.auth.fail.
+  // = proto.rx.calls; authentication failures of every packet class are
+  // counted per receiver in NodeMetrics::auth_failures.
   static stats::Timer& rx_timer =
       stats::Registry::instance().timer("proto.rx");
   stats::TimerScope rx_scope(rx_timer);

@@ -19,8 +19,11 @@
 //
 // Naming: dot-separated "<subsystem>.<unit>[.<detail>]", e.g.
 // "sim.queue.schedule", "crypto.sha.batch", "erasure.lrc.local_repairs",
-// "core.run_cell". Timer scopes registered top-level must not nest inside
-// one another: their summed time is the export's attributed_ns.
+// "core.run_cell". Names are fixed per subsystem, never per tenant or per
+// run: results per tenant, island or trial live in the result structs
+// (fleet::TenantResult, core::ExperimentResult), not in the registry.
+// Timer scopes registered top-level must not nest inside one another:
+// their summed time is the export's attributed_ns.
 #pragma once
 
 #include <atomic>
@@ -247,50 +250,6 @@ class Registry {
   Registry() = default;
   struct Impl;
   Impl& impl() const;
-};
-
-/// Prefix-scope handle over the registry: every metric created through a
-/// Scope("fleet.t03") is named "fleet.t03.<name>", so concurrent components
-/// of one process — fleet tenants above all — get disjoint registry slots
-/// instead of aliasing each other's counters, with zero export changes:
-/// the deterministic section sorts by full name, so one scope's metrics
-/// group into an adjacent block per tenant. Scopes are cheap name builders;
-/// the usual discipline still applies (look metrics up once, cache the
-/// returned references, record through them lock-free).
-class Scope {
- public:
-  /// `prefix` without the trailing dot ("fleet.t03").
-  explicit Scope(std::string_view prefix)
-      : prefix_(std::string(prefix) + ".") {}
-
-  Counter& counter(std::string_view name) const {
-    return Registry::instance().counter(full(name));
-  }
-  Gauge& gauge(std::string_view name) const {
-    return Registry::instance().gauge(full(name));
-  }
-  Histogram& histogram(std::string_view name) const {
-    return Registry::instance().histogram(full(name));
-  }
-  Timer& timer(std::string_view name, bool top_level = false) const {
-    return Registry::instance().timer(full(name), top_level);
-  }
-
-  /// Nested scope: Scope("fleet").sub("t03") == Scope("fleet.t03").
-  Scope sub(std::string_view name) const { return Scope(full(name)); }
-
-  /// The full prefix including the trailing dot ("fleet.t03.").
-  const std::string& prefix() const { return prefix_; }
-
- private:
-  std::string full(std::string_view name) const {
-    std::string s;
-    s.reserve(prefix_.size() + name.size());
-    s += prefix_;
-    s += name;
-    return s;
-  }
-  std::string prefix_;  // always ends with '.'
 };
 
 /// Full export document (schema "lrs-metrics-v1"): schema tag, caller

@@ -1,10 +1,11 @@
 // Fleet subsystem: delta images (round-trip, tamper and replay rejection,
 // end-to-end through the upgrade machinery), clone_source sharing, the
-// work-stealing scheduler's contract, and the engine's serial-vs-parallel
-// byte-identity discipline.
+// work-stealing scheduler's contract, the engine's serial-vs-parallel
+// byte-identity discipline and its pinned per-tenant results.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <iterator>
 #include <stdexcept>
 #include <vector>
 
@@ -435,6 +436,61 @@ TEST(FleetEngine, SerialAndParallelRunsAreByteIdentical) {
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.max_cell_events, b.max_cell_events);
   EXPECT_EQ(a.steals, 0u);  // one worker has no one to steal from
+}
+
+/// Every TenantResult field of the small fleet, pinned: a change to what a
+/// fleet cell simulates (cell wiring, seeds, loss, timing, the image check)
+/// moves at least one of these numbers.
+TEST(FleetEngine, TenantResultsMatchPinnedValues) {
+  struct Pinned {
+    const char* name;
+    Version version;
+    erasure::CodecKind codec;
+    bool delta;
+    std::size_t receivers;
+    std::uint64_t events;
+    std::uint64_t max_cell_events;
+    std::uint64_t data_packets;
+    std::uint64_t snack_packets;
+    std::uint64_t total_bytes;
+    double latency_max_s;
+  };
+  const Pinned pinned[] = {
+      {"alpha", 1, erasure::CodecKind::kReedSolomon, false, 19, 1849, 609,
+       324, 124, 24080, 3.073405},
+      {"bravo", 3, erasure::CodecKind::kLrc, false, 15, 2038, 620, 401, 108,
+       26873, 2.333588},
+      {"delta", 2, erasure::CodecKind::kReedSolomon, true, 19, 1011, 357, 150,
+       74, 13318, 1.973713},
+  };
+
+  fleet::FleetEngine engine = make_small_fleet();
+  engine.prepare();
+  const fleet::FleetReport report = engine.run(2);
+  ASSERT_EQ(report.tenants.size(), std::size(pinned));
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    const fleet::TenantResult& t = report.tenants[i];
+    const Pinned& p = pinned[i];
+    SCOPED_TRACE(p.name);
+    EXPECT_EQ(t.name, p.name);
+    EXPECT_EQ(t.phase, fleet::TenantPhase::kConverged);
+    EXPECT_EQ(t.version, p.version);
+    EXPECT_EQ(t.codec, p.codec);
+    EXPECT_EQ(t.delta, p.delta);
+    EXPECT_EQ(t.cells, 4u);
+    EXPECT_EQ(t.converged_cells, 4u);
+    EXPECT_EQ(t.receivers, p.receivers);
+    EXPECT_EQ(t.events, p.events);
+    EXPECT_EQ(t.max_cell_events, p.max_cell_events);
+    EXPECT_EQ(t.data_packets, p.data_packets);
+    EXPECT_EQ(t.snack_packets, p.snack_packets);
+    EXPECT_EQ(t.total_bytes, p.total_bytes);
+    EXPECT_EQ(t.latency_max_s, p.latency_max_s);  // exact: simulated time
+    EXPECT_TRUE(t.images_ok);
+  }
+  EXPECT_EQ(report.cells, 12u);
+  EXPECT_EQ(report.events, 4898u);
+  EXPECT_EQ(report.max_cell_events, 620u);
 }
 
 TEST(FleetEngine, CellDerivationsAreDeterministicAndInRange) {

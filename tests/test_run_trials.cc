@@ -133,11 +133,12 @@ ExperimentConfig cells_config(std::uint64_t seed) {
 }
 
 TEST(IslandExecutor, WorkerCountNeverChangesTheResult) {
-  auto cfg = cells_config(5);
-  cfg.island_jobs = 1;
+  const auto cfg = cells_config(5);
+  ::setenv("LRS_JOBS", "1", 1);
   const auto serial = run_experiment(cfg);
-  cfg.island_jobs = 4;
+  ::setenv("LRS_JOBS", "4", 1);
   const auto parallel = run_experiment(cfg);
+  ::unsetenv("LRS_JOBS");
   expect_equal(serial, parallel, "island jobs=1 vs jobs=4");
   EXPECT_TRUE(serial.all_complete);
   EXPECT_TRUE(serial.images_match);
@@ -152,8 +153,9 @@ TEST(IslandExecutor, ConnectedTopologyTakesTheClassicPath) {
   auto cfg = small_config(Scheme::kLrSeluge, 0.2, 3);
   const auto classic = run_experiment(cfg);
   cfg.islands = true;  // a star is one island: must match classic exactly
-  cfg.island_jobs = 4;
+  ::setenv("LRS_JOBS", "4", 1);
   const auto island = run_experiment(cfg);
+  ::unsetenv("LRS_JOBS");
   expect_equal(classic, island, "classic vs islands on connected topology");
 }
 

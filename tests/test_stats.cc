@@ -134,42 +134,6 @@ TEST(StatsRegistry, NamedLookupIsStable) {
   EXPECT_EQ(&t1, &t2);  // top_level sticks from first registration
 }
 
-// ---------------------------------------------------------------------------
-// Prefix scopes
-// ---------------------------------------------------------------------------
-
-TEST(StatsScope, ResolvesAgainstTheGlobalRegistry) {
-  const stats::Scope scope("test.scope.t03");
-  EXPECT_EQ(scope.prefix(), "test.scope.t03.");
-  Counter& via_scope = scope.counter("cells");
-  Counter& via_registry = Registry::instance().counter("test.scope.t03.cells");
-  EXPECT_EQ(&via_scope, &via_registry);
-  EXPECT_EQ(&scope.gauge("g"), &Registry::instance().gauge("test.scope.t03.g"));
-  EXPECT_EQ(&scope.histogram("h"),
-            &Registry::instance().histogram("test.scope.t03.h"));
-  EXPECT_EQ(&scope.timer("t"), &Registry::instance().timer("test.scope.t03.t"));
-}
-
-TEST(StatsScope, SubScopeEqualsSpelledOutPrefix) {
-  const stats::Scope nested = stats::Scope("test.scope").sub("tenant");
-  const stats::Scope flat("test.scope.tenant");
-  EXPECT_EQ(nested.prefix(), flat.prefix());
-  EXPECT_EQ(&nested.counter("x"), &flat.counter("x"));
-}
-
-TEST(StatsScope, DistinctTenantPrefixesGetDisjointSlots) {
-  stats::set_enabled(true);
-  const stats::Scope a("test.scope.a");
-  const stats::Scope b("test.scope.b");
-  a.counter("events").reset();
-  b.counter("events").reset();
-  a.counter("events").add(3);
-  b.counter("events").add(5);
-  EXPECT_EQ(a.counter("events").value(), 3u);
-  EXPECT_EQ(b.counter("events").value(), 5u);
-  stats::set_enabled(false);
-}
-
 // Generous absolute guard on the disabled path: a disabled record is one
 // relaxed atomic load plus a branch. The bound is far above any realistic
 // cost (tens of ns even on a loaded CI box would need ~100 cycles/op) but
