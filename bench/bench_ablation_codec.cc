@@ -48,7 +48,7 @@ void run(const BenchOptions& opt) {
       // LT's peeling decoder needs substantial headroom at k = 32; give it
       // a wider packet window so the threshold stays below n.
       if (v.kind == erasure::CodecKind::kLt) cfg.params.n = 64;
-      cfg.loss_p = p;
+      cfg.channel = sim::ChannelSpec::uniform(p);
       configs.push_back(cfg);
       // Report the codec's real threshold (LRC's k' = k + g - 1 is a
       // property of the construction, not of delta).

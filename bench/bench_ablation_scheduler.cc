@@ -24,7 +24,7 @@ void run(const BenchOptions& opt) {
     for (bool greedy : {true, false}) {
       auto cfg = paper_config(core::Scheme::kLrSeluge);
       cfg.params.lr_greedy_scheduler = greedy;
-      cfg.loss_p = p;
+      cfg.channel = sim::ChannelSpec::uniform(p);
       configs.push_back(cfg);
       prefixes.push_back({format_num(p, 2), greedy ? "greedy-rr" : "union"});
     }

@@ -30,7 +30,7 @@ void run(const BenchOptions& opt) {
           core::Scheme::kSluice, core::Scheme::kSeluge,
           core::Scheme::kLrSeluge}) {
       auto cfg = paper_config(scheme);
-      cfg.loss_p = p;
+      cfg.channel = sim::ChannelSpec::uniform(p);
       const char* secure =
           scheme == core::Scheme::kSeluge ||
                   scheme == core::Scheme::kLrSeluge

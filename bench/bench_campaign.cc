@@ -157,7 +157,7 @@ int run(int argc, char** argv) {
       listing.add_row({s.name, core::scheme_name(s.scheme),
                        sim::topology_kind_name(s.topo.kind),
                        std::to_string(s.topo.node_count()),
-                       scenario::channel_model_name(s.channel.model),
+                       sim::channel_model_name(s.channel.model),
                        has_faults ? s.faults.describe() : "none",
                        std::to_string(s.repeats)});
     }

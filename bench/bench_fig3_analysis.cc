@@ -25,8 +25,8 @@ core::ExperimentConfig one_page_config(core::Scheme scheme, double p,
   core::ExperimentConfig c = paper_config(scheme);
   // Size the image to exactly one content page.
   c.image_size = c.params.k * c.params.payload_size;  // page g capacity
-  c.receivers = receivers;
-  c.loss_p = p;
+  c.topo_spec.receivers = receivers;
+  c.channel = sim::ChannelSpec::uniform(p);
   return c;
 }
 

@@ -22,7 +22,7 @@ void run(const BenchOptions& opt) {
   for (double p : losses) {
     for (auto scheme : {core::Scheme::kSeluge, core::Scheme::kLrSeluge}) {
       auto cfg = paper_config(scheme);
-      cfg.loss_p = p;
+      cfg.channel = sim::ChannelSpec::uniform(p);
       configs.push_back(cfg);
       prefixes.push_back({format_num(p, 2), core::scheme_name(scheme)});
     }

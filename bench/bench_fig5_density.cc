@@ -20,8 +20,8 @@ void run(const BenchOptions& opt) {
   for (std::size_t n_recv : counts) {
     for (auto scheme : {core::Scheme::kSeluge, core::Scheme::kLrSeluge}) {
       auto cfg = paper_config(scheme);
-      cfg.receivers = n_recv;
-      cfg.loss_p = 0.1;
+      cfg.topo_spec.receivers = n_recv;
+      cfg.channel = sim::ChannelSpec::uniform(0.1);
       configs.push_back(cfg);
       prefixes.push_back({format_num(static_cast<double>(n_recv)),
                           core::scheme_name(scheme)});

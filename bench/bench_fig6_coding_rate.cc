@@ -40,7 +40,7 @@ void run(const BenchOptions& opt) {
         auto cfg = paper_config(core::Scheme::kLrSeluge);
         cfg.params.codec = codec.kind;
         cfg.params.n = n;
-        cfg.loss_p = p;
+        cfg.channel = sim::ChannelSpec::uniform(p);
         // Page count from the capacity math (mirrors the builder).
         const std::size_t mid =
             cfg.params.k * cfg.params.payload_size - n * 8;

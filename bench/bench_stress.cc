@@ -133,9 +133,9 @@ ExperimentConfig stress_config(Scheme scheme, const sim::FaultPlan& plan,
   c.params.n0 = 8;
   c.params.puzzle_strength = 4;
   c.image_size = 2048;
-  c.receivers = 4;
+  c.topo_spec.receivers = 4;
   c.seed = seed;
-  c.loss_p = 0.05;
+  c.channel = sim::ChannelSpec::uniform(0.05);
   c.timing.trickle.tau_low = 250 * kMillisecond;
   c.timing.trickle.tau_high = 8 * kSecond;
   c.faults = plan;

@@ -16,12 +16,11 @@ void run(const BenchOptions& opt) {
   std::vector<std::string> names;
   for (auto scheme : {core::Scheme::kSeluge, core::Scheme::kLrSeluge}) {
     auto cfg = paper_config(scheme);
-    cfg.topo = core::ExperimentConfig::Topo::kGrid;
     // --quick shrinks the grid: the full 15x15 run is minutes-long.
-    cfg.grid_rows = opt.quick ? 5 : 15;
-    cfg.grid_cols = opt.quick ? 5 : 15;
-    cfg.grid_spacing = 10.0;  // tight: many strong links per node
-    cfg.gilbert_elliott = true;  // heavy bursty noise
+    const std::size_t side = opt.quick ? 5 : 15;
+    // Tight spacing: many strong links per node.
+    cfg.topo_spec = sim::TopologySpec::grid(side, side, 10.0);
+    cfg.channel = sim::ChannelSpec::gilbert_elliott();  // heavy bursty noise
     cfg.time_limit = 3600LL * sim::kSecond;
     configs.push_back(cfg);
     names.push_back(core::scheme_name(scheme));

@@ -13,11 +13,10 @@ void run(const BenchOptions& opt) {
   std::vector<std::string> names;
   for (auto scheme : {core::Scheme::kSeluge, core::Scheme::kLrSeluge}) {
     auto cfg = paper_config(scheme);
-    cfg.topo = core::ExperimentConfig::Topo::kGrid;
-    cfg.grid_rows = opt.quick ? 5 : 15;
-    cfg.grid_cols = opt.quick ? 5 : 15;
-    cfg.grid_spacing = 20.0;  // medium: sparser, weaker links
-    cfg.gilbert_elliott = true;
+    const std::size_t side = opt.quick ? 5 : 15;
+    // Medium spacing: sparser, weaker links.
+    cfg.topo_spec = sim::TopologySpec::grid(side, side, 20.0);
+    cfg.channel = sim::ChannelSpec::gilbert_elliott();
     cfg.time_limit = 3600LL * sim::kSecond;
     configs.push_back(cfg);
     names.push_back(core::scheme_name(scheme));

@@ -184,15 +184,10 @@ inline BenchOptions parse_bench_options(int argc, const char* const* argv,
 /// leaving the harness's scheme, coding geometry and timing untouched.
 inline void apply_scenario_environment(core::ExperimentConfig& config,
                                        const scenario::Scenario& s) {
-  const core::ExperimentConfig env = scenario::scenario_config(s);
-  config.topo = env.topo;
-  config.topo_spec = env.topo_spec;
-  config.link = env.link;
-  config.loss_p = env.loss_p;
-  config.gilbert_elliott = env.gilbert_elliott;
-  config.ge = env.ge;
-  config.per_node_loss = env.per_node_loss;
-  config.faults = env.faults;
+  core::ExperimentConfig env = scenario::scenario_config(s);
+  config.topo_spec = std::move(env.topo_spec);
+  config.channel = std::move(env.channel);
+  config.faults = std::move(env.faults);
 }
 
 /// Loads opt.scenario (when set) or exits with the parse error — harness
@@ -236,7 +231,6 @@ inline core::ExperimentConfig paper_config(core::Scheme scheme) {
   c.params.n0 = 16;
   c.params.puzzle_strength = 8;
   c.image_size = 20 * 1024;
-  c.receivers = 20;
   c.seed = 1;
   c.timing.trickle.tau_low = 2 * sim::kSecond;
   c.timing.trickle.tau_high = 60 * sim::kSecond;

@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
     cfg.scheme = Scheme::kLrSeluge;
     cfg.params.n = n;
     cfg.params.puzzle_strength = 6;
-    cfg.receivers = receivers;
-    cfg.loss_p = loss;
+    cfg.topo_spec.receivers = receivers;
+    cfg.channel = sim::ChannelSpec::uniform(loss);
     cfg.image_size = image_kb * 1024;
     const auto r = run_experiment_avg(cfg, 3);
     if (!r.all_complete) {

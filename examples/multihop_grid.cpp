@@ -31,11 +31,8 @@ int main(int argc, char** argv) {
     ExperimentConfig cfg;
     cfg.scheme = scheme;
     cfg.params.puzzle_strength = 8;
-    cfg.topo = ExperimentConfig::Topo::kGrid;
-    cfg.grid_rows = rows;
-    cfg.grid_cols = cols;
-    cfg.grid_spacing = spacing;
-    cfg.loss_p = loss;
+    cfg.topo_spec = sim::TopologySpec::grid(rows, cols, spacing);
+    cfg.channel = sim::ChannelSpec::uniform(loss);
     cfg.image_size = 20 * 1024;
     cfg.time_limit = 3600LL * sim::kSecond;
 

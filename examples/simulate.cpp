@@ -2,11 +2,10 @@
 // paper (and beyond) from one command line.
 //
 //   ./examples/simulate --scheme lr-seluge --loss 0.2 --receivers 20
-//   ./examples/simulate --scheme seluge --topo grid --rows 15 --cols 15 \
-//       --spacing 10 --noise        # Table II conditions
-//   ./examples/simulate --scheme lr-seluge --k 32 --n 64 --image-kb 40 \
-//       --codec rlc2 --delta 2 --seeds 5
+//   ./examples/simulate --scheme seluge --topo grid --spacing 10 --noise
+//   ./examples/simulate --codec rlc2 --delta 2 --n 64 --image-kb 40 --seeds 5
 //
+// The second line runs Table II conditions (the grid defaults to 15x15).
 // Run with --help for the full flag list.
 #include <cstdio>
 #include <string>
@@ -73,15 +72,19 @@ int main(int argc, char** argv) {
     return 2;
   }
   cfg.scheme = *scheme;
-  cfg.topo = args.get("topo", "star") == "grid"
-                 ? ExperimentConfig::Topo::kGrid
-                 : ExperimentConfig::Topo::kStar;
-  cfg.receivers = static_cast<std::size_t>(args.get_int("receivers", 20));
-  cfg.grid_rows = static_cast<std::size_t>(args.get_int("rows", 15));
-  cfg.grid_cols = static_cast<std::size_t>(args.get_int("cols", 15));
-  cfg.grid_spacing = args.get_double("spacing", 10.0);
-  cfg.loss_p = args.get_double("loss", 0.1);
-  cfg.gilbert_elliott = args.get_bool("noise", false);
+  const bool grid = args.get("topo", "star") == "grid";
+  const auto receivers =
+      static_cast<std::size_t>(args.get_int("receivers", 20));
+  const auto rows = static_cast<std::size_t>(args.get_int("rows", 15));
+  const auto cols = static_cast<std::size_t>(args.get_int("cols", 15));
+  const double spacing = args.get_double("spacing", 10.0);
+  cfg.topo_spec = grid ? sim::TopologySpec::grid(rows, cols, spacing)
+                       : sim::TopologySpec::star(receivers);
+  // --noise replaces the uniform --loss with Gilbert-Elliott bursts.
+  const double loss = args.get_double("loss", 0.1);
+  cfg.channel = args.get_bool("noise", false)
+                    ? sim::ChannelSpec::gilbert_elliott()
+                    : sim::ChannelSpec::uniform(loss);
   cfg.image_size = static_cast<std::size_t>(args.get_int("image-kb", 20)) *
                    1024;
   cfg.params.k = static_cast<std::size_t>(args.get_int("k", 32));

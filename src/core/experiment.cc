@@ -109,20 +109,12 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
                           proto::SignatureMemo signatures) {
   const std::size_t node_count = topology->size();
 
-  std::unique_ptr<sim::LossModel> loss;
-  if (!config.per_node_loss.empty()) {
-    loss = sim::make_per_node_loss(config.per_node_loss, node_count);
-  } else if (config.gilbert_elliott) {
-    loss = sim::make_gilbert_elliott(config.ge, node_count,
-                                     config.seed ^ 0x6e01);
-  } else if (config.loss_p > 0.0) {
-    loss = sim::make_uniform_loss(config.loss_p);
-  } else {
-    loss = sim::make_perfect_channel();
-  }
-
-  sim::Simulator simulator(std::move(topology), std::move(loss), config.radio,
-                           config.seed, std::move(members));
+  // The channel's stochastic state (Gilbert-Elliott phases) draws from its
+  // own stream, apart from the simulator's.
+  sim::Simulator simulator(
+      std::move(topology),
+      sim::make_loss_model(config.channel, node_count, config.seed ^ 0x6e01),
+      config.radio, config.seed, std::move(members));
   // The simulated ids (all of them outside island mode), base first.
   const std::vector<NodeId>& cell = simulator.members();
   const NodeId base = cell.front();
@@ -140,7 +132,6 @@ ExperimentResult run_cell(const ExperimentConfig& config, const Bytes& image,
 
   proto::EngineConfig engine;
   engine.timing = config.timing;
-  engine.dor_mitigation = config.dor_mitigation;
   engine.leap_snack_auth = config.params.leap_snack_auth && !insecure;
   engine.leap_master = config.params.leap_master;
   engine.rx_memo = rx_memo.get();
@@ -365,20 +356,8 @@ ExperimentResult merge_islands(std::span<const ExperimentResult> parts) {
 ExperimentResult run_experiment(const ExperimentConfig& config) {
   const Bytes image = make_test_image(config.image_size, config.seed);
 
-  // One-hop cells are error-free at the link layer (paper §VI-A): the
-  // only losses are the application-layer drops of the loss model.
-  auto topology = std::make_shared<const sim::Topology>([&config] {
-    switch (config.topo) {
-      case ExperimentConfig::Topo::kStar:
-        return sim::Topology::star(config.receivers);
-      case ExperimentConfig::Topo::kGrid:
-        return sim::Topology::grid(config.grid_rows, config.grid_cols,
-                                   config.grid_spacing, config.link);
-      case ExperimentConfig::Topo::kSpec:
-        return sim::build_topology(config.topo_spec);
-    }
-    LRS_CHECK_MSG(false, "unknown topology selector");
-  }());
+  auto topology = std::make_shared<const sim::Topology>(
+      sim::build_topology(config.topo_spec));
 
   // The cells: the radio islands in island mode, else the whole network
   // (members {}), which a connected topology takes in island mode too.

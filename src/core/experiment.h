@@ -31,31 +31,16 @@ struct ExperimentConfig {
   Scheme scheme = Scheme::kLrSeluge;
   proto::CommonParams params{};
   proto::EngineTiming timing{};
-  bool dor_mitigation = true;
 
   std::size_t image_size = 20 * 1024;  // the paper's 20 KB image
   std::uint64_t seed = 1;
 
-  // Topology: a one-hop star of `receivers`, a rows x cols grid, or —
-  // kSpec — any generator the scenario subsystem supports (random
-  // geometric, clustered, corridor, ring, plus star/grid with per-link
-  // PRR jitter); see sim/scenario/generators.h.
-  enum class Topo { kStar, kGrid, kSpec } topo = Topo::kStar;
-  std::size_t receivers = 20;
-  std::size_t grid_rows = 15;
-  std::size_t grid_cols = 15;
-  double grid_spacing = 10.0;
-  sim::LinkModel link{};
-  sim::TopologySpec topo_spec{};  // used when topo == Topo::kSpec
-
-  // Channel: uniform app-layer loss p (paper §VI-A), optionally replaced
-  // by Gilbert-Elliott burst noise (multi-hop tables) or, when non-empty,
-  // a heterogeneous per-node loss vector (p[i] applies to receptions at
-  // node i; length must cover the node count).
-  double loss_p = 0.0;
-  bool gilbert_elliott = false;
-  sim::GilbertElliottParams ge{};
-  std::vector<double> per_node_loss;
+  // The deployment: where the nodes are (any generator the scenario
+  // subsystem supports, see sim/scenario/generators.h; by default the
+  // paper's error-free 20-receiver star) and how the channel drops frames
+  // on top of the links' PRR (sim/channel.h; by default no extra loss).
+  sim::TopologySpec topo_spec = sim::TopologySpec::star(20);
+  sim::ChannelSpec channel{};
 
   sim::RadioParams radio{};
   sim::SimTime time_limit = 4LL * 3600 * sim::kSecond;

@@ -1,7 +1,6 @@
 #include "crypto/sha256_kernels.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/log.h"
@@ -465,29 +464,11 @@ struct ActiveKernels {
   std::atomic<const Sha256BatchKernel*> batch;
 
   ActiveKernels() {
-    const Sha256Kernel* chosen = nullptr;
-    const char* env = std::getenv("LRS_SHA256_KERNEL");
-    const bool overridden =
-        env != nullptr && env[0] != '\0' && std::string(env) != "auto";
-    if (overridden) {
-      chosen = sha256_find_kernel(env);
-      if (chosen == nullptr) {
-        LRS_LOG(kWarn) << "LRS_SHA256_KERNEL=" << env
-                       << " unknown or unsupported on this CPU; "
-                          "falling back to auto selection";
-      }
-    }
-    // A pinned scalar kernel also pins batch hashing to it, so sanitizer
-    // and A/B runs exercise exactly one implementation.
-    const bool pinned =
-        chosen != nullptr && chosen != runnable_kernels().back();
-    if (chosen == nullptr) chosen = select_auto();
-    const Sha256BatchKernel* batch_chosen =
-        pinned ? nullptr : select_batch_auto();
+    const Sha256Kernel* chosen = select_auto();
+    const Sha256BatchKernel* batch_chosen = select_batch_auto();
     LRS_LOG(kInfo) << "SHA-256 kernel: " << chosen->name << ", batch: "
                    << (batch_chosen ? batch_chosen->name : "(single-stream)")
-                   << (overridden ? " (LRS_SHA256_KERNEL override)"
-                                  : " (auto-selected)");
+                   << " (auto-selected)";
     single.store(chosen, std::memory_order_release);
     batch.store(batch_chosen, std::memory_order_release);
   }

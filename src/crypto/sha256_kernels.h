@@ -21,10 +21,9 @@
 //                 outranks both where the CPU has SHA extensions.
 //
 // The active single-stream kernel is chosen once, at first use, by CPUID
-// feature probing (best available wins) and can be overridden with the
-// environment variable LRS_SHA256_KERNEL=ref|unrolled|shani|auto — for A/B
-// benchmarking and for forcing portable paths under sanitizers. The batch
-// kernel is probed independently (SHA-NI loop > mb8 > mb4 > scalar loop).
+// feature probing (best available wins); tests and benchmarks reach the
+// others through sha256_set_kernel. The batch kernel is probed
+// independently (SHA-NI loop > mb8 > mb4 > scalar loop).
 // All kernels are byte-identical (enforced by tests/test_sha256.cc).
 #pragma once
 
@@ -56,12 +55,12 @@ struct Sha256BatchKernel {
                          const std::uint8_t* const* data, std::size_t count);
 };
 
-/// The active single-stream kernel. First call performs selection (env
-/// override, then CPUID) and logs the choice once.
+/// The active single-stream kernel. First call performs the CPUID selection
+/// and logs the choice once.
 const Sha256Kernel& sha256_kernel();
 
 /// The active multi-buffer kernel, or nullptr when none beats the
-/// single-stream path on this CPU (or LRS_SHA256_KERNEL pinned a scalar
+/// single-stream path on this CPU (or sha256_set_kernel pinned a scalar
 /// kernel, which also pins batch hashing to it for reproducible A/B runs).
 const Sha256BatchKernel* sha256_batch_kernel();
 

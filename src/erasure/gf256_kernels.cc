@@ -1,7 +1,6 @@
 #include "erasure/gf256_kernels.h"
 
 #include <atomic>
-#include <cstdlib>
 #include <cstring>
 
 #include "util/log.h"
@@ -330,38 +329,19 @@ std::vector<const Gf256Kernel*> runnable_kernels() {
 
 const Gf256Kernel* select_auto() { return runnable_kernels().back(); }
 
-struct ActiveKernel {
-  std::atomic<const Gf256Kernel*> ptr;
-
-  ActiveKernel() {
-    const Gf256Kernel* chosen = nullptr;
-    const char* env = std::getenv("LRS_GF256_KERNEL");
-    if (env != nullptr && env[0] != '\0' && std::string(env) != "auto") {
-      chosen = gf256_find_kernel(env);
-      if (chosen == nullptr) {
-        LRS_LOG(kWarn) << "LRS_GF256_KERNEL=" << env
-                       << " unknown or unsupported on this CPU; "
-                          "falling back to auto selection";
-      }
-    }
-    if (chosen == nullptr) chosen = select_auto();
-    LRS_LOG(kInfo) << "GF(256) kernel: " << chosen->name
-                   << (env != nullptr && env[0] != '\0'
-                           ? " (LRS_GF256_KERNEL override)"
-                           : " (auto-selected)");
-    ptr.store(chosen, std::memory_order_release);
-  }
-};
-
-ActiveKernel& active_kernel() {
-  static ActiveKernel a;
-  return a;
+std::atomic<const Gf256Kernel*>& active_kernel() {
+  static std::atomic<const Gf256Kernel*> active{[] {
+    const Gf256Kernel* chosen = select_auto();
+    LRS_LOG(kInfo) << "GF(256) kernel: " << chosen->name << " (auto-selected)";
+    return chosen;
+  }()};
+  return active;
 }
 
 }  // namespace
 
 const Gf256Kernel& gf256_kernel() {
-  return *active_kernel().ptr.load(std::memory_order_acquire);
+  return *active_kernel().load(std::memory_order_acquire);
 }
 
 std::vector<std::string> gf256_available_kernels() {
@@ -381,7 +361,7 @@ bool gf256_set_kernel(const std::string& name) {
   const Gf256Kernel* k =
       name == "auto" ? select_auto() : gf256_find_kernel(name);
   if (k == nullptr) return false;
-  active_kernel().ptr.store(k, std::memory_order_release);
+  active_kernel().store(k, std::memory_order_release);
   return true;
 }
 

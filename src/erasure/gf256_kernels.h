@@ -13,10 +13,8 @@
 //              tables per coefficient, 16 or 32 bytes per shuffle step.
 //
 // The active kernel is chosen once, at first use, by CPUID feature probing
-// (best available wins) and can be overridden with the environment variable
-// LRS_GF256_KERNEL=ref|table|ssse3|avx2|auto — both for A/B benchmarking and
-// for forcing the portable paths under sanitizers. The selection is logged
-// once at kInfo.
+// (best available wins) and logged once at kInfo. Tests and benchmarks reach
+// every other runnable kernel through gf256_set_kernel.
 #pragma once
 
 #include <cstddef>
@@ -37,8 +35,8 @@ struct Gf256Kernel {
   void (*scale)(std::uint8_t* dst, std::size_t len, std::uint8_t coeff);
 };
 
-/// The active kernel. First call performs selection (env override, then
-/// CPUID) and logs the choice once.
+/// The active kernel. First call performs the CPUID selection and logs the
+/// choice once.
 const Gf256Kernel& gf256_kernel();
 
 /// Kernels compiled in AND runnable on this CPU, fastest last. Always

@@ -82,9 +82,8 @@ Bytes make_delta(const Bytes& base_image, const Bytes& new_image,
     if (!same) changed.push_back(p);
   }
 
-  Bytes out;
+  Bytes out(kMagic, kMagic + 4);
   out.reserve(kHeaderSize + changed.size() * (4 + page_size));
-  out.insert(out.end(), kMagic, kMagic + 4);
   put_u32(out, base_version);
   put_u32(out, new_version);
   put_u64(out, size);

@@ -59,7 +59,7 @@ core::ExperimentConfig cell_config(const TenantSpec& spec, std::size_t cell) {
   config.scheme = core::Scheme::kLrSeluge;
   config.params = spec.params;
   config.timing = spec.timing;
-  config.loss_p = spec.loss_p;
+  config.channel = sim::ChannelSpec::uniform(spec.loss_p);
   config.seed = cell_seed(spec, cell);
   config.time_limit = spec.time_limit;
   return config;

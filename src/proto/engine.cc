@@ -383,6 +383,8 @@ void DissemNode::send_snack() {
   s.page = page;
   s.requested = scheme_->request_bits(page);
   const crypto::HmacKey* mac = snack_tx_mac();
+  // Data-page SNACKs only: the signature requests request_signature_from
+  // sends count in the kSnack class (snack_pkts) but not here.
   static stats::Counter& snacks =
       stats::Registry::instance().counter("proto.snack.sent");
   snacks.add();

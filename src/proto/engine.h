@@ -229,8 +229,11 @@ class DissemNode : public sim::Node {
   // in the low thousands occur legitimately while the wavefront is still
   // far away (the measured worst case in the 10k-node ladder rung is
   // 2001), and rotating early reshapes bootstrap traffic everywhere.
-  // 4096 sits above every observed benign streak with 2x margin while
-  // still unsticking a pinned node in minutes of simulated time.
+  // 4096 sits above every observed benign streak with 2x margin. It is a
+  // liveness backstop, not a fast one: requests follow overheard
+  // advertisements, so once Trickle has backed off a pinned node sends
+  // about one request per 10 s, and 4096 of them take about 11 simulated
+  // hours.
   static constexpr std::uint32_t kSigTargetRotate = 4096;
   bool sig_request_armed_ = false;
   sim::EventToken sig_token_;

@@ -15,6 +15,12 @@ namespace lrs::proto {
 class SchemeState;   // proto/scheme.h
 struct RxFanoutMemo; // proto/engine.h
 
+/// The default preloaded keys: bytes [0, 4) are the cluster key, [4, 8)
+/// the LEAP master secret. Defined out of line (params.cc) because GCC 12
+/// reports a braced byte list in a default member initializer as
+/// maybe-uninitialized wherever the constructor is inlined.
+extern const std::uint8_t kDefaultKeyBytes[8];
+
 /// Geometry and crypto parameters preloaded on every node before deployment
 /// (paper §IV-B): the erasure-code instances, packet sizes and keys. Only
 /// the image content, its hash chain and the signed root travel over the
@@ -48,7 +54,7 @@ struct CommonParams {
   bool lr_greedy_scheduler = true;
 
   /// Cluster key authenticating advertisement/SNACK packets.
-  Bytes cluster_key{0x42, 0x13, 0x37, 0x99};
+  Bytes cluster_key = Bytes(kDefaultKeyBytes, kDefaultKeyBytes + 4);
 
   /// §IV-E future-work extension: authenticate SNACKs with LEAP-style
   /// per-source keys instead of the shared cluster key. The MAC then
@@ -58,7 +64,7 @@ struct CommonParams {
   bool leap_snack_auth = false;
   /// Master secret the per-source keys derive from (models LEAP's
   /// pairwise establishment; an attacker holds only its own derived key).
-  Bytes leap_master{0x1e, 0xa9, 0x5e, 0xc7};
+  Bytes leap_master = Bytes(kDefaultKeyBytes + 4, kDefaultKeyBytes + 8);
 };
 
 /// Engine pacing knobs. Defaults follow Deluge-style constants scaled so a

@@ -51,7 +51,14 @@ class GilbertElliott final : public LossModel {
   GilbertElliott(GilbertElliottParams params, std::size_t node_count,
                  std::uint64_t seed)
       : params_(params), rng_(seed) {
-    params.validate();
+    LRS_CHECK_MSG(params.p_good >= 0.0 && params.p_good <= 1.0,
+                  "Gilbert-Elliott p_good outside [0, 1]");
+    LRS_CHECK_MSG(params.p_bad >= 0.0 && params.p_bad <= 1.0,
+                  "Gilbert-Elliott p_bad outside [0, 1]");
+    LRS_CHECK_MSG(params.mean_good_dwell > 0,
+                  "Gilbert-Elliott mean_good_dwell must be positive");
+    LRS_CHECK_MSG(params.mean_bad_dwell > 0,
+                  "Gilbert-Elliott mean_bad_dwell must be positive");
     states_.reserve(node_count);
     for (std::size_t i = 0; i < node_count; ++i) {
       // Stagger initial phases so nodes do not fade in lockstep.
@@ -108,34 +115,49 @@ std::unique_ptr<LossModel> make_uniform_loss(double p) {
   return std::make_unique<UniformLoss>(p);
 }
 
-std::unique_ptr<LossModel> make_per_node_loss(std::vector<double> p) {
-  return std::make_unique<PerNodeLoss>(std::move(p));
+const char* channel_model_name(ChannelSpec::Model m) {
+  switch (m) {
+    case ChannelSpec::Model::kPerfect: return "perfect";
+    case ChannelSpec::Model::kUniform: return "uniform";
+    case ChannelSpec::Model::kPerNode: return "per_node";
+    case ChannelSpec::Model::kGilbertElliott: return "gilbert_elliott";
+  }
+  return "?";
 }
 
-std::unique_ptr<LossModel> make_per_node_loss(std::vector<double> p,
-                                              std::size_t node_count) {
-  LRS_CHECK_MSG(p.size() >= node_count,
-                "per-node loss vector has " + std::to_string(p.size()) +
-                    " entries for a " + std::to_string(node_count) +
-                    "-node network");
-  return std::make_unique<PerNodeLoss>(std::move(p));
+bool channel_model_from_name(const std::string& name,
+                             ChannelSpec::Model* out) {
+  for (const ChannelSpec::Model m :
+       {ChannelSpec::Model::kPerfect, ChannelSpec::Model::kUniform,
+        ChannelSpec::Model::kPerNode, ChannelSpec::Model::kGilbertElliott}) {
+    if (name == channel_model_name(m)) {
+      *out = m;
+      return true;
+    }
+  }
+  return false;
 }
 
-void GilbertElliottParams::validate() const {
-  LRS_CHECK_MSG(p_good >= 0.0 && p_good <= 1.0,
-                "Gilbert-Elliott p_good outside [0, 1]");
-  LRS_CHECK_MSG(p_bad >= 0.0 && p_bad <= 1.0,
-                "Gilbert-Elliott p_bad outside [0, 1]");
-  LRS_CHECK_MSG(mean_good_dwell > 0,
-                "Gilbert-Elliott mean_good_dwell must be positive");
-  LRS_CHECK_MSG(mean_bad_dwell > 0,
-                "Gilbert-Elliott mean_bad_dwell must be positive");
-}
-
-std::unique_ptr<LossModel> make_gilbert_elliott(GilbertElliottParams params,
-                                                std::size_t node_count,
-                                                std::uint64_t seed) {
-  return std::make_unique<GilbertElliott>(params, node_count, seed);
+std::unique_ptr<LossModel> make_loss_model(const ChannelSpec& spec,
+                                           std::size_t node_count,
+                                           std::uint64_t seed) {
+  switch (spec.model) {
+    case ChannelSpec::Model::kPerfect:
+      break;
+    case ChannelSpec::Model::kUniform:
+      if (spec.loss > 0.0) return make_uniform_loss(spec.loss);
+      break;
+    case ChannelSpec::Model::kPerNode:
+      LRS_CHECK_MSG(spec.per_node.size() >= node_count,
+                    "per-node loss vector has " +
+                        std::to_string(spec.per_node.size()) +
+                        " entries for a " + std::to_string(node_count) +
+                        "-node network");
+      return std::make_unique<PerNodeLoss>(spec.per_node);
+    case ChannelSpec::Model::kGilbertElliott:
+      return std::make_unique<GilbertElliott>(spec.ge, node_count, seed);
+  }
+  return make_perfect_channel();
 }
 
 }  // namespace lrs::sim

@@ -65,9 +65,8 @@ struct TopologySpec {
   double radius = 60.0;            // ring circle radius
   std::uint64_t seed = 1;          // placement seed (stochastic kinds)
 
-  LinkModel link{};  // PRR-vs-distance curve (star forces max_prr = 1
-                     // only when built through Topology::star defaults;
-                     // scenarios set the curve explicitly)
+  LinkModel link{};  // PRR-vs-distance curve (mica2; star() below
+                     // defaults to the error-free link instead)
 
   /// Per-link PRR heterogeneity in [0, 1): each directed link's PRR is
   /// scaled by a deterministic factor in [1 - prr_jitter, 1].
@@ -76,6 +75,22 @@ struct TopologySpec {
 
   /// Total node count (base station included) the spec will produce.
   std::size_t node_count() const;
+
+  /// The paper's two shapes with Topology::star's and Topology::grid's
+  /// default links: an error-free one-hop cell (losses come from the
+  /// channel alone, §VI-A) and a grid on the mica2 curve. The struct
+  /// defaults above keep the mica2 curve for every kind, which scenario
+  /// files and their canonical form rely on.
+  static TopologySpec star(std::size_t receivers,
+                           const LinkModel& link = LinkModel::perfect()) {
+    return {.kind = TopologyKind::kStar, .receivers = receivers, .link = link};
+  }
+  static TopologySpec grid(std::size_t rows, std::size_t cols,
+                           double spacing,
+                           const LinkModel& link = LinkModel{}) {
+    return {.kind = TopologyKind::kGrid, .rows = rows, .cols = cols,
+            .spacing = spacing, .link = link};
+  }
 };
 
 /// Builds the topology for a spec. Throws (LRS_CHECK) on invalid parameter

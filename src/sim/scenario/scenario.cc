@@ -233,7 +233,7 @@ std::string validate_scenario(Scenario& s) {
   const std::size_t node_count = t.node_count();
   const auto& c = s.channel;
   if (c.loss < 0.0 || c.loss > 1.0) return "[channel] loss must be in [0, 1]";
-  if (c.model == ChannelSpec::Model::kPerNode) {
+  if (c.model == sim::ChannelSpec::Model::kPerNode) {
     if (!c.per_node.empty()) {
       if (c.per_node.size() != node_count) {
         return "[channel] per_node lists " +
@@ -249,7 +249,7 @@ std::string validate_scenario(Scenario& s) {
       return "[channel] loss_jitter must be in [0, 1]";
     }
   }
-  if (c.model == ChannelSpec::Model::kGilbertElliott) {
+  if (c.model == sim::ChannelSpec::Model::kGilbertElliott) {
     if (c.ge.p_good < 0.0 || c.ge.p_good > 1.0 || c.ge.p_bad < 0.0 ||
         c.ge.p_bad > 1.0) {
       return "[channel] p_good/p_bad must be in [0, 1]";
@@ -417,7 +417,7 @@ struct Parser {
   bool channel_key(const std::string& key, const std::string& value) {
     auto& c = s.channel;
     if (key == "model") {
-      if (!channel_model_from_name(value, &c.model)) {
+      if (!sim::channel_model_from_name(value, &c.model)) {
         detail = "unknown channel model '" + value + "'";
         return false;
       }
@@ -505,29 +505,6 @@ struct Parser {
 };
 
 }  // namespace
-
-const char* channel_model_name(ChannelSpec::Model m) {
-  switch (m) {
-    case ChannelSpec::Model::kPerfect: return "perfect";
-    case ChannelSpec::Model::kUniform: return "uniform";
-    case ChannelSpec::Model::kPerNode: return "per_node";
-    case ChannelSpec::Model::kGilbertElliott: return "gilbert_elliott";
-  }
-  return "?";
-}
-
-bool channel_model_from_name(const std::string& name,
-                             ChannelSpec::Model* out) {
-  for (const ChannelSpec::Model m :
-       {ChannelSpec::Model::kPerfect, ChannelSpec::Model::kUniform,
-        ChannelSpec::Model::kPerNode, ChannelSpec::Model::kGilbertElliott}) {
-    if (name == channel_model_name(m)) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
 
 std::size_t Scenario::expected_complete() const {
   // Under island execution every radio-connected component has its own base
@@ -686,14 +663,14 @@ std::string canonical_scenario(const Scenario& s) {
 
   const auto& c = s.channel;
   os << "\n[channel]\n";
-  os << "model = " << channel_model_name(c.model) << "\n";
+  os << "model = " << sim::channel_model_name(c.model) << "\n";
   switch (c.model) {
-    case ChannelSpec::Model::kPerfect:
+    case sim::ChannelSpec::Model::kPerfect:
       break;
-    case ChannelSpec::Model::kUniform:
+    case sim::ChannelSpec::Model::kUniform:
       os << "loss = " << fmt_f64(c.loss) << "\n";
       break;
-    case ChannelSpec::Model::kPerNode:
+    case sim::ChannelSpec::Model::kPerNode:
       if (!c.per_node.empty()) {
         os << "per_node = ";
         for (std::size_t i = 0; i < c.per_node.size(); ++i) {
@@ -706,7 +683,7 @@ std::string canonical_scenario(const Scenario& s) {
         os << "loss_seed = " << c.loss_seed << "\n";
       }
       break;
-    case ChannelSpec::Model::kGilbertElliott:
+    case sim::ChannelSpec::Model::kGilbertElliott:
       os << "p_good = " << fmt_f64(c.ge.p_good) << "\n";
       os << "p_bad = " << fmt_f64(c.ge.p_bad) << "\n";
       os << "good_dwell_ms = " << fmt_ms(c.ge.mean_good_dwell) << "\n";
@@ -780,38 +757,21 @@ core::ExperimentConfig scenario_config(const Scenario& s) {
   c.params.puzzle_strength = s.puzzle_strength;
   c.params.lr_greedy_scheduler = s.greedy_scheduler;
 
-  c.topo = core::ExperimentConfig::Topo::kSpec;
   c.topo_spec = s.topo;
-  c.link = s.topo.link;
-
-  switch (s.channel.model) {
-    case ChannelSpec::Model::kPerfect:
-      break;
-    case ChannelSpec::Model::kUniform:
-      c.loss_p = s.channel.loss;
-      break;
-    case ChannelSpec::Model::kPerNode:
-      if (!s.channel.per_node.empty()) {
-        c.per_node_loss = s.channel.per_node;
-      } else {
-        // Heterogeneous p_i around the base loss, deterministic in
-        // loss_seed (independent of the trial seed, so every trial of a
-        // scenario faces the same node population).
-        Rng rng(s.channel.loss_seed);
-        const std::size_t nodes = s.topo.node_count();
-        c.per_node_loss.reserve(nodes);
-        for (std::size_t i = 0; i < nodes; ++i) {
-          const double p =
-              s.channel.loss +
-              s.channel.loss_jitter * (2.0 * rng.uniform01() - 1.0);
-          c.per_node_loss.push_back(std::clamp(p, 0.0, 1.0));
-        }
-      }
-      break;
-    case ChannelSpec::Model::kGilbertElliott:
-      c.gilbert_elliott = true;
-      c.ge = s.channel.ge;
-      break;
+  c.channel = s.channel;
+  if (c.channel.model == sim::ChannelSpec::Model::kPerNode &&
+      c.channel.per_node.empty()) {
+    // Heterogeneous p_i around the base loss, deterministic in loss_seed
+    // (independent of the trial seed, so every trial of a scenario faces
+    // the same node population).
+    Rng rng(c.channel.loss_seed);
+    const std::size_t nodes = s.topo.node_count();
+    c.channel.per_node.reserve(nodes);
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const double p = c.channel.loss +
+                       c.channel.loss_jitter * (2.0 * rng.uniform01() - 1.0);
+      c.channel.per_node.push_back(std::clamp(p, 0.0, 1.0));
+    }
   }
 
   c.faults = s.faults;

@@ -35,27 +35,6 @@
 
 namespace lrs::scenario {
 
-/// Channel description: which loss model rides on top of the topology PRR.
-struct ChannelSpec {
-  enum class Model { kPerfect, kUniform, kPerNode, kGilbertElliott };
-  Model model = Model::kPerfect;
-
-  double loss = 0.0;  // uniform drop probability; per-node base
-
-  // kPerNode: explicit per-node probabilities, or — when `per_node` is
-  // empty — p_i drawn uniformly from [loss - loss_jitter, loss + jitter]
-  // (clamped to [0, 1]) with the deterministic `loss_seed` stream.
-  std::vector<double> per_node;
-  double loss_jitter = 0.0;
-  std::uint64_t loss_seed = 1;
-
-  sim::GilbertElliottParams ge{};  // kGilbertElliott
-};
-
-const char* channel_model_name(ChannelSpec::Model m);
-bool channel_model_from_name(const std::string& name,
-                             ChannelSpec::Model* out);
-
 /// One scheduled node event (late join / early sleep), times in SimTime.
 struct NodeEvent {
   NodeId node = 0;
@@ -83,7 +62,7 @@ struct Scenario {
   sim::TopologySpec topo{};
 
   // [channel]
-  ChannelSpec channel{};
+  sim::ChannelSpec channel{};
 
   // [faults] — the PR-3 fault plan plus node schedules layered on its
   // crash/reboot hooks: a late joiner is down from t=0 until its join time
@@ -129,9 +108,11 @@ std::optional<Scenario> load_scenario_file(const std::string& path,
 /// canonicalization is idempotent.
 std::string canonical_scenario(const Scenario& s);
 
-/// Compiles the scenario into a runnable experiment configuration
-/// (topology spec, channel, fault plan + schedule crash events, scheme
-/// geometry, trial parameters).
+/// Compiles the scenario into a runnable experiment configuration: copies
+/// the topology spec, channel and fault plan (plus schedule crash events),
+/// scheme geometry and trial parameters. A per-node channel given by
+/// loss/loss_jitter/loss_seed is expanded into its explicit `per_node`
+/// vector here, once, so every trial and island reads the same population.
 core::ExperimentConfig scenario_config(const Scenario& s);
 
 }  // namespace lrs::scenario

@@ -51,7 +51,8 @@ bool known_type(std::uint8_t t) {
 /// Extracts an unsigned integer field `"key":value` from a JSONL line.
 std::optional<std::uint64_t> json_uint(std::string_view line,
                                        std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
+  std::string needle = "\"";
+  needle.append(key).append("\":");
   const auto at = line.find(needle);
   if (at == std::string_view::npos) return std::nullopt;
   std::size_t i = at + needle.size();
@@ -67,7 +68,8 @@ std::optional<std::uint64_t> json_uint(std::string_view line,
 /// Extracts a string field `"key":"value"` from a JSONL line.
 std::optional<std::string> json_str(std::string_view line,
                                     std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":\"";
+  std::string needle = "\"";
+  needle.append(key).append("\":\"");
   const auto at = line.find(needle);
   if (at == std::string_view::npos) return std::nullopt;
   const std::size_t start = at + needle.size();

@@ -262,7 +262,7 @@ TEST(AllocGuard, StarScenarioStaysUnderPerEventBudget) {
   cfg.params.n0 = 8;
   cfg.params.puzzle_strength = 4;
   cfg.image_size = 4096;
-  cfg.receivers = 20;
+  cfg.topo_spec.receivers = 20;
   cfg.seed = 1;
   cfg.timing.trickle.tau_low = 250 * sim::kMillisecond;
   cfg.timing.trickle.tau_high = 8 * sim::kSecond;

@@ -333,8 +333,8 @@ TEST(Attack, LeapEndToEndStillDisseminates) {
   cfg.params = small_params();
   cfg.params.leap_snack_auth = true;
   cfg.image_size = 2048;
-  cfg.receivers = 4;
-  cfg.loss_p = 0.2;
+  cfg.topo_spec.receivers = 4;
+  cfg.channel = sim::ChannelSpec::uniform(0.2);
   cfg.timing = fast_timing();
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "core/experiment.h"
+#include "sim/scenario/scenario.h"
 
 namespace lrs::core {
 namespace {
@@ -18,7 +19,7 @@ ExperimentConfig base_config(Scheme scheme) {
   c.params.n0 = 8;
   c.params.puzzle_strength = 4;
   c.image_size = 2048;
-  c.receivers = 5;
+  c.topo_spec.receivers = 5;
   c.seed = 1;
   // Faster Trickle for small test scenarios.
   c.timing.trickle.tau_low = 250 * sim::kMillisecond;
@@ -39,7 +40,7 @@ TEST_P(AllSchemes, LosslessOneHopCompletes) {
 
 TEST_P(AllSchemes, ModerateLossOneHopCompletes) {
   auto cfg = base_config(GetParam());
-  cfg.loss_p = 0.15;
+  cfg.channel = sim::ChannelSpec::uniform(0.15);
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);
   EXPECT_TRUE(r.images_match);
@@ -47,8 +48,8 @@ TEST_P(AllSchemes, ModerateLossOneHopCompletes) {
 
 TEST_P(AllSchemes, HeavyLossOneHopCompletes) {
   auto cfg = base_config(GetParam());
-  cfg.loss_p = 0.4;
-  cfg.receivers = 3;
+  cfg.channel = sim::ChannelSpec::uniform(0.4);
+  cfg.topo_spec.receivers = 3;
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);
   EXPECT_TRUE(r.images_match);
@@ -56,10 +57,7 @@ TEST_P(AllSchemes, HeavyLossOneHopCompletes) {
 
 TEST_P(AllSchemes, SmallMultihopGridCompletes) {
   auto cfg = base_config(GetParam());
-  cfg.topo = ExperimentConfig::Topo::kGrid;
-  cfg.grid_rows = 3;
-  cfg.grid_cols = 3;
-  cfg.grid_spacing = 30.0;  // forces multi-hop (outer radius 45)
+  cfg.topo_spec = sim::TopologySpec::grid(3, 3, 30.0);  // multi-hop
   cfg.image_size = 1024;
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete) << r.completed << "/" << r.receivers;
@@ -68,7 +66,7 @@ TEST_P(AllSchemes, SmallMultihopGridCompletes) {
 
 TEST_P(AllSchemes, DeterministicForFixedSeed) {
   auto cfg = base_config(GetParam());
-  cfg.loss_p = 0.1;
+  cfg.channel = sim::ChannelSpec::uniform(0.1);
   const auto a = run_experiment(cfg);
   const auto b = run_experiment(cfg);
   EXPECT_EQ(a.data_packets, b.data_packets);
@@ -94,8 +92,8 @@ class LossSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(LossSweep, LrSelugeCompletesAndVerifies) {
   auto cfg = base_config(Scheme::kLrSeluge);
-  cfg.loss_p = GetParam();
-  cfg.receivers = 4;
+  cfg.channel = sim::ChannelSpec::uniform(GetParam());
+  cfg.topo_spec.receivers = 4;
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete) << "p=" << GetParam();
   EXPECT_TRUE(r.images_match);
@@ -120,8 +118,8 @@ TEST(PaperShape, LrBeatsSelugeDataPacketsUnderLoss) {
     cfg->params.k = 16;
     cfg->params.n = 24;
     cfg->image_size = 6 * 1024;
-    cfg->loss_p = 0.3;
-    cfg->receivers = 8;
+    cfg->channel = sim::ChannelSpec::uniform(0.3);
+    cfg->topo_spec.receivers = 8;
   }
   const auto r_lr = run_experiment_avg(lr, 5);
   const auto r_seluge = run_experiment_avg(seluge, 5);
@@ -137,7 +135,7 @@ TEST(PaperShape, EverySchemeSendsMoreUnderLoss) {
   for (Scheme s : {Scheme::kSeluge, Scheme::kLrSeluge}) {
     auto clean = base_config(s);
     auto lossy = base_config(s);
-    lossy.loss_p = 0.35;
+    lossy.channel = sim::ChannelSpec::uniform(0.35);
     const auto r_clean = run_experiment(clean);
     const auto r_lossy = run_experiment(lossy);
     ASSERT_TRUE(r_clean.all_complete && r_lossy.all_complete);
@@ -148,7 +146,7 @@ TEST(PaperShape, EverySchemeSendsMoreUnderLoss) {
 
 TEST(PaperShape, SignatureVerifiedOncePerReceiver) {
   auto cfg = base_config(Scheme::kLrSeluge);
-  cfg.receivers = 6;
+  cfg.topo_spec.receivers = 6;
   const auto r = run_experiment(cfg);
   ASSERT_TRUE(r.all_complete);
   // Every receiver verifies the root signature exactly once; no forgeries
@@ -159,10 +157,10 @@ TEST(PaperShape, SignatureVerifiedOncePerReceiver) {
 
 TEST(PaperShape, GilbertElliottChannelStillCompletes) {
   auto cfg = base_config(Scheme::kLrSeluge);
-  cfg.gilbert_elliott = true;
-  cfg.ge.p_good = 0.05;
-  cfg.ge.p_bad = 0.5;
-  cfg.receivers = 4;
+  cfg.channel = sim::ChannelSpec::gilbert_elliott();
+  cfg.channel.ge.p_good = 0.05;
+  cfg.channel.ge.p_bad = 0.5;
+  cfg.topo_spec.receivers = 4;
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);
   EXPECT_TRUE(r.images_match);
@@ -182,7 +180,7 @@ TEST(PaperShape, RlcCodecEndToEnd) {
   auto cfg = base_config(Scheme::kLrSeluge);
   cfg.params.codec = erasure::CodecKind::kRlcGf256;
   cfg.params.delta = 1;
-  cfg.loss_p = 0.2;
+  cfg.channel = sim::ChannelSpec::uniform(0.2);
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);
   EXPECT_TRUE(r.images_match);
@@ -197,7 +195,7 @@ namespace {
 
 TEST(Energy, ReportedAndInternallyConsistent) {
   auto cfg = base_config(Scheme::kLrSeluge);
-  cfg.loss_p = 0.2;
+  cfg.channel = sim::ChannelSpec::uniform(0.2);
   const auto r = run_experiment(cfg);
   ASSERT_TRUE(r.all_complete);
   EXPECT_GT(r.tx_energy_mj, 0.0);
@@ -207,7 +205,7 @@ TEST(Energy, ReportedAndInternallyConsistent) {
   EXPECT_GT(r.listen_energy_mj, r.rx_energy_mj);
   // listen = nodes x latency x rx power (56.4 mW default).
   const double expect =
-      static_cast<double>(cfg.receivers + 1) * r.latency_s * 56.4;
+      static_cast<double>(cfg.topo_spec.node_count()) * r.latency_s * 56.4;
   EXPECT_NEAR(r.listen_energy_mj, expect, expect * 0.01);
 }
 
@@ -223,10 +221,8 @@ TEST(Relay, LineTopologyForcesMultiHopRelay) {
   // the far end can only be served by intermediate nodes re-encoding and
   // forwarding pages they decoded themselves.
   auto cfg = base_config(Scheme::kLrSeluge);
-  cfg.topo = ExperimentConfig::Topo::kGrid;
-  cfg.grid_rows = 1;
-  cfg.grid_cols = 5;
-  cfg.grid_spacing = 30.0;  // outer radius 45: only adjacent nodes hear
+  // Spacing 30 against outer radius 45: only adjacent nodes hear.
+  cfg.topo_spec = sim::TopologySpec::grid(1, 5, 30.0);
   cfg.image_size = 1024;
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);
@@ -237,23 +233,64 @@ TEST(Relay, RelaysServeFromReencodedPages) {
   // Same line, but verify intermediate nodes actually transmitted data
   // (the base station cannot reach the tail directly).
   auto cfg = base_config(Scheme::kLrSeluge);
-  cfg.topo = ExperimentConfig::Topo::kGrid;
-  cfg.grid_rows = 1;
-  cfg.grid_cols = 4;
-  cfg.grid_spacing = 30.0;
+  cfg.topo_spec = sim::TopologySpec::grid(1, 4, 30.0);
   cfg.image_size = 1024;
   // run_experiment aggregates; per-node breakdown needs a manual check via
   // data packets: with 3 receivers in a line, total data sent must exceed
   // what one server alone would send for one neighborhood.
   const auto single_hop = [&] {
     auto c2 = cfg;
-    c2.topo = ExperimentConfig::Topo::kStar;
-    c2.receivers = 3;
+    c2.topo_spec = sim::TopologySpec::star(3);
     return run_experiment(c2);
   }();
   const auto line = run_experiment(cfg);
   ASSERT_TRUE(line.all_complete && single_hop.all_complete);
   EXPECT_GT(line.data_packets, single_hop.data_packets);
+}
+
+}  // namespace
+}  // namespace lrs::core
+
+// Pinned deployment descriptions: each topology's link, each spec's
+// channel and the channel's seeds feed these counts, so a drift in any of
+// them fails here.
+namespace lrs::core {
+namespace {
+
+TEST(RunExperiment, DeploymentDescriptionsMatchPinnedValues) {
+  ExperimentConfig star;  // the default error-free 20-receiver star
+  star.channel = sim::ChannelSpec::uniform(0.1);
+  ExperimentConfig grid;  // Table II's --quick shape, on the mica2 curve
+  grid.topo_spec = sim::TopologySpec::grid(5, 5, 10.0);
+  grid.channel = sim::ChannelSpec::gilbert_elliott();
+  std::string error;  // a per-node population drawn by scenario_config
+  const auto jitter = scenario::parse_scenario(
+      "[scenario]\nname = jitter\nimage_size = 4096\n[topology]\n"
+      "receivers = 9\n[channel]\nmodel = per_node\nloss = 0.2\n"
+      "loss_jitter = 0.1\nloss_seed = 5\n",
+      &error);
+  ASSERT_TRUE(jitter.has_value()) << error;
+  const struct {
+    ExperimentConfig config;
+    std::uint64_t data, snack, adv, bytes, events;
+    double latency_s;
+  } pinned[] = {
+      {star, 638, 242, 5, 58419, 3677, 0x1.a05cfede97d07p+2},
+      {grid, 6311, 1430, 438, 552807, 41880, 0x1.12be81882adc5p+6},
+      {scenario::scenario_config(*jitter), 210, 61, 5, 19939, 1070,
+       0x1.60f9767903212p+2},
+  };
+  for (const auto& p : pinned) {
+    SCOPED_TRACE(p.data);
+    const ExperimentResult r = run_experiment(p.config);
+    EXPECT_TRUE(r.all_complete && r.images_match);
+    EXPECT_EQ(r.data_packets, p.data);
+    EXPECT_EQ(r.snack_packets, p.snack);
+    EXPECT_EQ(r.adv_packets, p.adv);
+    EXPECT_EQ(r.total_bytes, p.bytes);
+    EXPECT_EQ(r.events_executed, p.events);
+    EXPECT_EQ(r.latency_s, p.latency_s);  // exact
+  }
 }
 
 }  // namespace

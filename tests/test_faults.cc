@@ -325,7 +325,7 @@ core::ExperimentConfig fault_config(core::Scheme scheme) {
   c.params.n0 = 8;
   c.params.puzzle_strength = 4;
   c.image_size = 2048;
-  c.receivers = 4;
+  c.topo_spec.receivers = 4;
   c.seed = 1;
   c.timing.trickle.tau_low = 250 * kMillisecond;
   c.timing.trickle.tau_high = 8 * kSecond;
@@ -394,7 +394,7 @@ class CrashReboot : public ::testing::TestWithParam<core::Scheme> {};
 
 TEST_P(CrashReboot, RebootedReceiverStillCompletesUnderGilbertElliott) {
   auto cfg = fault_config(GetParam());
-  cfg.gilbert_elliott = true;
+  cfg.channel = sim::ChannelSpec::gilbert_elliott();
   // Mid-transfer outages on two receivers; frontier must survive both.
   cfg.faults.crashes.push_back({2, 1 * kSecond, 700 * kMillisecond});
   cfg.faults.crashes.push_back({3, 2 * kSecond, 500 * kMillisecond});

@@ -160,8 +160,8 @@ TEST(RatelessScheme, EndToEndSimulation) {
   cfg.scheme = core::Scheme::kRatelessDeluge;
   cfg.params = small_params();
   cfg.image_size = 2048;
-  cfg.receivers = 5;
-  cfg.loss_p = 0.25;
+  cfg.topo_spec.receivers = 5;
+  cfg.channel = sim::ChannelSpec::uniform(0.25);
   cfg.timing.trickle.tau_low = 250 * sim::kMillisecond;
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);
@@ -178,8 +178,8 @@ TEST(RatelessScheme, MoreLossResilientThanDeluge) {
     cfg->params.payload_size = 64;
     cfg->params.k = 16;
     cfg->image_size = 6 * 1024;
-    cfg->receivers = 8;
-    cfg->loss_p = 0.3;
+    cfg->topo_spec.receivers = 8;
+    cfg->channel = sim::ChannelSpec::uniform(0.3);
     cfg->timing.trickle.tau_low = 250 * sim::kMillisecond;
   }
   const auto r1 = run_experiment_avg(rateless, 3);

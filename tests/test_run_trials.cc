@@ -16,8 +16,8 @@ ExperimentConfig small_config(Scheme scheme, double loss, std::uint64_t seed) {
   ExperimentConfig c;
   c.scheme = scheme;
   c.image_size = 4 * 1024;  // small image keeps the test fast
-  c.receivers = 5;
-  c.loss_p = loss;
+  c.topo_spec.receivers = 5;
+  c.channel = sim::ChannelSpec::uniform(loss);
   c.seed = seed;
   return c;
 }
@@ -117,15 +117,11 @@ ExperimentConfig cells_config(std::uint64_t seed) {
   ExperimentConfig c;
   c.scheme = Scheme::kLrSeluge;
   c.image_size = 4 * 1024;
-  c.topo = ExperimentConfig::Topo::kSpec;
-  c.topo_spec.kind = sim::TopologyKind::kCells;
-  c.topo_spec.rows = 2;
-  c.topo_spec.cols = 3;
-  c.topo_spec.nodes = 24;
-  c.topo_spec.width = 30.0;   // 30x30 box, diagonal < outer radius: every
-  c.topo_spec.height = 30.0;  // cell placement is connected on the first try
-  c.topo_spec.seed = 7;
-  c.loss_p = 0.1;
+  // 30x30 boxes, diagonal < outer radius: every cell placement is
+  // connected on the first try.
+  c.topo_spec = {.kind = sim::TopologyKind::kCells, .rows = 2, .cols = 3,
+                 .nodes = 24, .width = 30.0, .height = 30.0, .seed = 7};
+  c.channel = sim::ChannelSpec::uniform(0.1);
   c.seed = seed;
   c.islands = true;
   c.check_invariants = true;  // per-island observers must merge cleanly

@@ -23,8 +23,8 @@ namespace lrs {
 namespace {
 
 namespace fs = std::filesystem;
-using scenario::ChannelSpec;
 using scenario::Scenario;
+using sim::ChannelSpec;
 using sim::TopologyKind;
 using sim::TopologySpec;
 
@@ -576,7 +576,6 @@ TEST(ScenarioConfigTest, MapsSchemeGeometryAndTrialBlock) {
   EXPECT_EQ(c.seed, 77u);
   EXPECT_EQ(c.time_limit, sim::from_seconds(120.5));
   EXPECT_FALSE(c.check_invariants);
-  EXPECT_EQ(c.topo, core::ExperimentConfig::Topo::kSpec);
 }
 
 TEST(ScenarioConfigTest, SchedulesCompileToCrashEvents) {
@@ -612,10 +611,11 @@ TEST(ScenarioConfigTest, DerivesPerNodeLossDeterministically) {
   ASSERT_TRUE(s.has_value()) << error;
   const auto c1 = scenario::scenario_config(*s);
   const auto c2 = scenario::scenario_config(*s);
-  ASSERT_EQ(c1.per_node_loss.size(), 10u);  // base + 9 receivers
-  EXPECT_EQ(c1.per_node_loss, c2.per_node_loss);
+  EXPECT_EQ(c1.channel.model, ChannelSpec::Model::kPerNode);
+  ASSERT_EQ(c1.channel.per_node.size(), 10u);  // base + 9 receivers
+  EXPECT_EQ(c1.channel.per_node, c2.channel.per_node);
   std::set<double> distinct;
-  for (const double p : c1.per_node_loss) {
+  for (const double p : c1.channel.per_node) {
     EXPECT_GE(p, 0.1 - 1e-12);
     EXPECT_LE(p, 0.3 + 1e-12);
     distinct.insert(p);

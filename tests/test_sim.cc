@@ -646,8 +646,15 @@ TEST(ChannelTest, UniformLossMatchesP) {
   EXPECT_NEAR(static_cast<double>(delivered) / trials, 0.7, 0.01);
 }
 
+ChannelSpec per_node_channel(std::vector<double> p) {
+  ChannelSpec c;
+  c.model = ChannelSpec::Model::kPerNode;
+  c.per_node = std::move(p);
+  return c;
+}
+
 TEST(ChannelTest, PerNodeLossIsPerReceiver) {
-  auto model = make_per_node_loss({0.0, 0.9});
+  auto model = make_loss_model(per_node_channel({0.0, 0.9}), 2, 1);
   Rng rng(6);
   int d0 = 0, d1 = 0;
   for (int i = 0; i < 20000; ++i) {
@@ -659,43 +666,50 @@ TEST(ChannelTest, PerNodeLossIsPerReceiver) {
 }
 
 TEST(ChannelTest, PerNodeLossRejectsOutOfRangeProbability) {
-  EXPECT_THROW(make_per_node_loss({0.5, 1.2}), std::logic_error);
-  EXPECT_THROW(make_per_node_loss({-0.1}), std::logic_error);
+  EXPECT_THROW(make_loss_model(per_node_channel({0.5, 1.2}), 2, 1),
+               std::logic_error);
+  EXPECT_THROW(make_loss_model(per_node_channel({-0.1}), 1, 1),
+               std::logic_error);
 }
 
 TEST(ChannelTest, PerNodeLossShortVectorFailsLoudly) {
   // A reception at a node past the end of the vector must throw with a
   // clear message, not index out of bounds.
-  auto model = make_per_node_loss({0.0, 0.1});
+  auto model = make_loss_model(per_node_channel({0.0, 0.1}), 2, 1);
   Rng rng(3);
   EXPECT_THROW(model->delivered(0, 2, 0, rng), std::logic_error);
-  // The node-count overload rejects the short vector up front.
-  EXPECT_THROW(make_per_node_loss({0.0, 0.1}, 4), std::logic_error);
-  EXPECT_NO_THROW(make_per_node_loss({0.0, 0.1, 0.2}, 3));
+  // A vector shorter than the network is rejected up front, and so is a
+  // population that was never drawn.
+  EXPECT_THROW(make_loss_model(per_node_channel({0.0, 0.1}), 4, 1),
+               std::logic_error);
+  EXPECT_THROW(make_loss_model(per_node_channel({}), 2, 1), std::logic_error);
+  EXPECT_NO_THROW(make_loss_model(per_node_channel({0.0, 0.1, 0.2}), 3, 1));
 }
 
 TEST(ChannelTest, GilbertElliottValidatesParams) {
+  const auto build = [](const GilbertElliottParams& params) {
+    return make_loss_model(ChannelSpec::gilbert_elliott(params), 2, 1);
+  };
   GilbertElliottParams zero_dwell;
   zero_dwell.mean_good_dwell = 0;
-  EXPECT_THROW(zero_dwell.validate(), std::logic_error);
-  EXPECT_THROW(make_gilbert_elliott(zero_dwell, 2, 1), std::logic_error);
+  EXPECT_THROW(build(zero_dwell), std::logic_error);
 
   GilbertElliottParams negative_dwell;
   negative_dwell.mean_bad_dwell = -1;
-  EXPECT_THROW(negative_dwell.validate(), std::logic_error);
+  EXPECT_THROW(build(negative_dwell), std::logic_error);
 
   GilbertElliottParams bad_prob;
   bad_prob.p_bad = 1.5;
-  EXPECT_THROW(bad_prob.validate(), std::logic_error);
+  EXPECT_THROW(build(bad_prob), std::logic_error);
 
-  EXPECT_NO_THROW(GilbertElliottParams{}.validate());
+  EXPECT_NO_THROW(build(GilbertElliottParams{}));
 }
 
 TEST(ChannelTest, GilbertElliottLossBetweenGoodAndBad) {
   GilbertElliottParams params;
   params.p_good = 0.05;
   params.p_bad = 0.6;
-  auto model = make_gilbert_elliott(params, 2, 7);
+  auto model = make_loss_model(ChannelSpec::gilbert_elliott(params), 2, 7);
   Rng rng(8);
   int delivered = 0;
   const int trials = 200000;
@@ -714,7 +728,7 @@ TEST(ChannelTest, GilbertElliottIsBursty) {
   GilbertElliottParams params;
   params.p_good = 0.02;
   params.p_bad = 0.9;
-  auto model = make_gilbert_elliott(params, 1, 9);
+  auto model = make_loss_model(ChannelSpec::gilbert_elliott(params), 1, 9);
   Rng rng(10);
   std::vector<bool> dropped;
   SimTime t = 0;

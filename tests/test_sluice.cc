@@ -139,8 +139,8 @@ TEST(SluiceScheme, EndToEndSimulationUnderLoss) {
   cfg.scheme = core::Scheme::kSluice;
   cfg.params = small_params();
   cfg.image_size = 2048;
-  cfg.receivers = 5;
-  cfg.loss_p = 0.2;
+  cfg.topo_spec.receivers = 5;
+  cfg.channel = sim::ChannelSpec::uniform(0.2);
   cfg.timing.trickle.tau_low = 250 * sim::kMillisecond;
   const auto r = run_experiment(cfg);
   EXPECT_TRUE(r.all_complete);

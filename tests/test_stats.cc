@@ -226,9 +226,9 @@ core::ExperimentConfig small_star_config(std::uint64_t seed) {
   cfg.params.n0 = 8;
   cfg.params.puzzle_strength = 4;
   cfg.image_size = 2048;
-  cfg.receivers = 6;
+  cfg.topo_spec.receivers = 6;
   cfg.seed = seed;
-  cfg.loss_p = 0.1;
+  cfg.channel = sim::ChannelSpec::uniform(0.1);
   cfg.timing.trickle.tau_low = 250 * sim::kMillisecond;
   cfg.timing.trickle.tau_high = 8 * sim::kSecond;
   return cfg;

@@ -276,8 +276,8 @@ ExperimentConfig traced_config(std::uint64_t seed) {
   ExperimentConfig c;
   c.scheme = Scheme::kLrSeluge;
   c.image_size = 4 * 1024;
-  c.receivers = 4;
-  c.loss_p = 0.2;
+  c.topo_spec.receivers = 4;
+  c.channel = sim::ChannelSpec::uniform(0.2);
   c.seed = seed;
   return c;
 }
